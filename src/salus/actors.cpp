@@ -1,11 +1,6 @@
 #include "salus/actors.hpp"
 
-#include <algorithm>
-#include <deque>
-
 #include "common/errors.hpp"
-#include "obs/trace.hpp"
-#include "salus/dma_channel.hpp"
 
 namespace salus::core {
 
@@ -20,26 +15,13 @@ SchedulerPumpActor::attach(sim::Engine &engine, const std::string &name)
 }
 
 void
-SchedulerPumpActor::startPeriodic(sim::Engine &engine, sim::Nanos period,
-                                  uint64_t sweeps)
-{
-    if (actorId_ == 0 || sweeps == 0)
-        return;
-    period_ = period;
-    remaining_ = sweeps;
-    engine.postIn(period_, sim::kPriorityControl, actorId_, kSweep);
-}
-
-void
-SchedulerPumpActor::onEvent(sim::Engine &engine, const sim::Event &event)
+SchedulerPumpActor::onEvent(sim::Engine &, const sim::Event &event)
 {
     if (event.kind != kSweep)
         return;
     ++sweeps_;
     if (pump_)
         ops_ += pump_();
-    if (remaining_ > 0 && --remaining_ > 0)
-        engine.postIn(period_, sim::kPriorityControl, actorId_, kSweep);
 }
 
 // ---- SupervisorPollActor ---------------------------------------------
@@ -53,18 +35,7 @@ SupervisorPollActor::attach(sim::Engine &engine, const std::string &name)
 }
 
 void
-SupervisorPollActor::startPeriodic(sim::Engine &engine, sim::Nanos period,
-                                   uint64_t polls)
-{
-    if (actorId_ == 0 || polls == 0)
-        return;
-    period_ = period;
-    remaining_ = polls;
-    engine.postIn(period_, sim::kPriorityControl, actorId_, kPoll);
-}
-
-void
-SupervisorPollActor::onEvent(sim::Engine &engine, const sim::Event &event)
+SupervisorPollActor::onEvent(sim::Engine &, const sim::Event &event)
 {
     if (event.kind != kPoll)
         return;
@@ -73,135 +44,12 @@ SupervisorPollActor::onEvent(sim::Engine &engine, const sim::Event &event)
         supervisor_.pollOnce();
     } catch (const SalusError &) {
         // Failover propagation surfaces out of pollOnce as an
-        // exception in the lockstep drivers too; the event loop keeps
-        // running and the owner decides what a failover means.
+        // exception; the event loop keeps running and the owner
+        // decides what a failover means.
         ++errors_;
         if (onError_)
             onError_();
     }
-    if (remaining_ > 0 && --remaining_ > 0)
-        engine.postIn(period_, sim::kPriorityControl, actorId_, kPoll);
-}
-
-// ---- DmaLaneActor ----------------------------------------------------
-
-uint32_t
-DmaLaneActor::attach(sim::Engine &engine)
-{
-    if (actorId_ == 0)
-        actorId_ = engine.addActor(*this, name_);
-    return actorId_;
-}
-
-sim::Nanos
-DmaLaneActor::simulateJob(sim::Nanos from, const Job &job)
-{
-    // Mirrors DmaWindowEngine::run's no-loss timing on a LANE-LOCAL
-    // timeline: `t` is this lane's clock; stalls and wire time extend
-    // it without touching the shared VirtualClock, and exposed seal
-    // crypto rides the lane too (the scale model charges crypto to
-    // the lane that needs it rather than a shared host core).
-    sim::Nanos t = from;
-    size_t chunk = std::max<size_t>(job.chunkBytes, 1);
-    size_t window =
-        std::clamp<size_t>(job.window, 1, dmachan::kDmaMaxWindow);
-
-    sim::Nanos overlapBudget = 0;
-    sim::Nanos overlapCap = 2 * cost_.dmaCrypto(chunk);
-
-    auto spendCrypto = [&](sim::Nanos cost) {
-        sim::Nanos hidden = std::min(cost, overlapBudget);
-        overlapBudget -= hidden;
-        stats_.hiddenCryptoNanos += hidden;
-        sim::Nanos exposed = cost - hidden;
-        t += exposed;
-        stats_.cryptoNanos += exposed;
-    };
-    auto spendTransport = [&](sim::Nanos cost) {
-        t += cost;
-        stats_.transportNanos += cost;
-        overlapBudget = std::min(overlapBudget + cost, overlapCap);
-    };
-
-    // In-flight descriptors are a FIFO of ack-due times; only the
-    // head ever blocks (cumulative acks), so a ring of Nanos suffices.
-    std::deque<sim::Nanos> ackDue;
-    auto waitFront = [&]() {
-        if (ackDue.front() > t)
-            spendTransport(ackDue.front() - t);
-        ackDue.pop_front();
-    };
-
-    uint64_t remaining = job.bytes;
-    while (remaining > 0) {
-        size_t payload = size_t(std::min<uint64_t>(remaining, chunk));
-        remaining -= payload;
-        spendCrypto(cost_.dmaCrypto(payload));
-        while (ackDue.size() >= window)
-            waitFront();
-        spendTransport(sim::transferTime(
-            cost_.pcieBandwidth, dmachan::dmaEncodedSize(1, payload)));
-        ackDue.push_back(t + cost_.pcieRtt);
-        ++stats_.descriptors;
-    }
-    while (!ackDue.empty())
-        waitFront();
-    return t;
-}
-
-void
-DmaLaneActor::submit(sim::Engine &engine, const Job &job)
-{
-    sim::Nanos now = engine.now();
-    sim::Nanos start = std::max(now, stats_.idleUntil);
-    if (busyOpen_ && start > stats_.idleUntil) {
-        // The lane went idle between jobs: close the coalesced busy
-        // span before opening the next period.
-        if (obs::TraceRecorder *rec = obs::tracer())
-            rec->completeSpan(obs::Category::Shell, name_, busyStart_,
-                              stats_.idleUntil);
-        busyOpen_ = false;
-    }
-    if (!busyOpen_) {
-        busyOpen_ = true;
-        busyStart_ = start;
-    }
-
-    sim::Nanos finish = simulateJob(start, job);
-    stats_.idleUntil = finish;
-    stats_.busyNanos += finish - start;
-    ++stats_.jobs;
-    stats_.bytes += job.bytes;
-    obs::count("dma.lane_jobs");
-
-    // The completion event carries the notification target packed
-    // into (a, b); kJobDone dispatches at the lane-local finish time.
-    uint64_t packed =
-        (uint64_t(job.notifyActor) << 32) | uint64_t(job.notifyKind);
-    engine.post(finish, sim::kPriorityBulk, actorId_, kJobDone, packed,
-                job.notifyA);
-}
-
-void
-DmaLaneActor::onEvent(sim::Engine &engine, const sim::Event &event)
-{
-    if (event.kind != kJobDone)
-        return;
-    uint32_t notifyActor = uint32_t(event.a >> 32);
-    uint32_t notifyKind = uint32_t(event.a & 0xffffffffu);
-    if (notifyActor != 0)
-        engine.postNow(notifyActor, notifyKind, event.b);
-}
-
-void
-DmaLaneActor::flushSpans()
-{
-    if (!busyOpen_)
-        return;
-    if (obs::TraceRecorder *rec = obs::tracer())
-        rec->completeSpan(obs::Category::Shell, name_, busyStart_,
-                          stats_.idleUntil);
-    busyOpen_ = false;
 }
 
 } // namespace salus::core

@@ -511,19 +511,35 @@ parseScenarioFile(const std::string &path)
 namespace {
 
 /**
- * The per-sweep steps of a campaign, shared VERBATIM between the
- * lockstep loop and the event-engine port so the two drivers cannot
- * drift. Call order per sweep is actions -> submissions -> pump ->
- * poll (when due); drain + harvest run after the last sweep.
+ * One campaign's sweep loop as an engine actor. Each kSweep event runs
+ * actions + submissions inline, then posts the broker pump, the
+ * supervisor poll (when due) and the next sweep AT THE SAME INSTANT:
+ * FIFO tie-breaking dispatches them in post order, so the call order
+ * per sweep is actions -> submissions -> pump -> poll (when due).
+ * Drain + harvest run after the engine goes idle.
  */
-struct ScenarioExec
+struct ScenarioExec final : sim::Actor
 {
+    static constexpr uint32_t kSweep = 1;
+
     const Scenario &sc;
     Testbed &tb;
     Broker &broker;
     ScenarioOutcome &out;
     std::vector<uint32_t> tenantIds;
     std::vector<std::vector<uint32_t>> tenantSessions;
+    uint32_t actorId = 0;
+    SchedulerPumpActor pumpActor{[this] { return pump(); }};
+    SupervisorPollActor pollActor{tb.supervisor(),
+                                  [this] { ++out.failovers; }};
+
+    ScenarioExec(const Scenario &scenario, Testbed &testbed,
+                 Broker &brk, ScenarioOutcome &outcome)
+        : sc(scenario), tb(testbed), broker(brk), out(outcome)
+    {}
+    // The engine and the pump/poll callbacks hold this address.
+    ScenarioExec(const ScenarioExec &) = delete;
+    ScenarioExec &operator=(const ScenarioExec &) = delete;
 
     /** Tenants + sessions, in file order (determinism: ids are dense
      *  and the sweep loop walks this fixed layout). */
@@ -707,68 +723,43 @@ struct ScenarioExec
                 "failovers: got " + std::to_string(out.failovers) +
                 ", expected <= " + std::to_string(e.failoversMax));
     }
-};
-
-/**
- * Drives the sweep loop as an engine event chain. Each sweep event
- * runs actions + submissions inline, then posts the broker pump, the
- * supervisor poll (when due) and the next sweep AT THE SAME INSTANT:
- * FIFO tie-breaking dispatches them in post order, replaying the
- * lockstep call sequence exactly — which is what makes the engine
- * port trace-identical to runScenario (the determinism gate and the
- * engine regression test both diff the artifacts).
- */
-struct SweepActor final : sim::Actor
-{
-    static constexpr uint32_t kSweep = 1;
-
-    ScenarioExec &exec;
-    SchedulerPumpActor &pump;
-    SupervisorPollActor &poll;
-    uint32_t actorId = 0;
-
-    SweepActor(ScenarioExec &e, SchedulerPumpActor &pumpActor,
-               SupervisorPollActor &pollActor)
-        : exec(e), pump(pumpActor), poll(pollActor)
-    {}
 
     void onEvent(sim::Engine &engine, const sim::Event &event) override
     {
         if (event.kind != kSweep)
             return;
         uint32_t sweep = uint32_t(event.a);
-        exec.actions(sweep);
-        exec.submissions(sweep);
-        engine.postNow(pump.actorId(), SchedulerPumpActor::kSweep);
-        if (exec.pollDue(sweep))
-            engine.postNow(poll.actorId(), SupervisorPollActor::kPoll);
-        if (sweep + 1 < exec.sc.sweeps)
+        actions(sweep);
+        submissions(sweep);
+        engine.postNow(pumpActor.actorId(), SchedulerPumpActor::kSweep);
+        if (pollDue(sweep))
+            engine.postNow(pollActor.actorId(),
+                           SupervisorPollActor::kPoll);
+        if (sweep + 1 < sc.sweeps)
             engine.postNow(actorId, kSweep, sweep + 1);
+    }
+
+    /** Runs every sweep on the testbed's engine. */
+    void runSweeps()
+    {
+        sim::Engine &engine = tb.engine();
+        pumpActor.attach(engine, "broker.pump");
+        pollActor.attach(engine, "supervisor.poll");
+        actorId = engine.addActor(*this, "scenario.sweeps");
+
+        if (sc.sweeps > 0)
+            engine.postNow(actorId, kSweep, 0);
+        // Each sweep event posts at most 3 others; the budget is a
+        // runaway backstop, not a schedule.
+        if (!engine.runUntilIdle(uint64_t(sc.sweeps) * 4 + 16))
+            out.violations.push_back("engine: event budget exhausted");
     }
 };
 
-void
-runSweepsOnEngine(ScenarioExec &exec)
-{
-    sim::Engine &engine = exec.tb.engine();
-    SchedulerPumpActor pump([&exec] { return exec.pump(); });
-    pump.attach(engine, "broker.pump");
-    SupervisorPollActor poll(exec.tb.supervisor(),
-                             [&exec] { ++exec.out.failovers; });
-    poll.attach(engine, "supervisor.poll");
-    SweepActor sweeps(exec, pump, poll);
-    sweeps.actorId = engine.addActor(sweeps, "scenario.sweeps");
-
-    if (exec.sc.sweeps > 0)
-        engine.postNow(sweeps.actorId, SweepActor::kSweep, 0);
-    // Each sweep event posts at most 3 others; the budget is a
-    // runaway backstop, not a schedule.
-    if (!engine.runUntilIdle(uint64_t(exec.sc.sweeps) * 4 + 16))
-        exec.out.violations.push_back("engine: event budget exhausted");
-}
+} // namespace
 
 ScenarioOutcome
-runScenarioImpl(const Scenario &scenario, bool onEngine)
+runScenario(const Scenario &scenario)
 {
     ScenarioOutcome out;
 
@@ -792,27 +783,9 @@ runScenarioImpl(const Scenario &scenario, bool onEngine)
             out.violations.push_back("deployment failed");
         } else {
             Broker broker(tb, scenario.broker);
-            ScenarioExec exec{scenario, tb, broker, out, {}, {}};
+            ScenarioExec exec(scenario, tb, broker, out);
             exec.openTenants();
-
-            if (onEngine) {
-                runSweepsOnEngine(exec);
-            } else {
-                for (uint32_t sweep = 0; sweep < scenario.sweeps;
-                     ++sweep) {
-                    exec.actions(sweep);
-                    exec.submissions(sweep);
-                    exec.pump();
-                    if (exec.pollDue(sweep)) {
-                        try {
-                            tb.supervisor().pollOnce();
-                        } catch (const SalusError &) {
-                            ++out.failovers;
-                        }
-                    }
-                }
-            }
-
+            exec.runSweeps();
             exec.drain();
             exec.harvest();
         }
@@ -820,20 +793,6 @@ runScenarioImpl(const Scenario &scenario, bool onEngine)
     out.traceJson = recorder.chromeTraceJson();
     out.metricsText = metricsReg.renderText();
     return out;
-}
-
-} // namespace
-
-ScenarioOutcome
-runScenario(const Scenario &scenario)
-{
-    return runScenarioImpl(scenario, false);
-}
-
-ScenarioOutcome
-runScenarioOnEngine(const Scenario &scenario)
-{
-    return runScenarioImpl(scenario, true);
 }
 
 } // namespace salus::core

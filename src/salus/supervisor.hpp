@@ -206,10 +206,6 @@ class FleetSupervisor
     }
     uint64_t polls() const { return polls_; }
 
-    /** Watchdog probe cadence — event-driven drivers schedule their
-     *  poll events at this period instead of calling runFor(). */
-    sim::Nanos probePeriod() const { return deps_.probePeriod; }
-
   private:
     void maybeFailover();
 

@@ -273,11 +273,8 @@ Testbed::userApp(uint32_t peer)
 sim::Engine &
 Testbed::engine()
 {
-    if (!engine_) {
-        sim::Engine::Config cfg;
-        cfg.seed = config_.rngSeed;
-        engine_ = std::make_unique<sim::Engine>(clock_, cfg);
-    }
+    if (!engine_)
+        engine_ = std::make_unique<sim::Engine>(clock_);
     return *engine_;
 }
 

@@ -166,9 +166,9 @@ class Testbed
 
     /**
      * The deterministic event engine over this testbed's clock,
-     * lazily built (seeded from the testbed's rngSeed; FIFO
-     * tie-breaking, so engine-driven runs replay lockstep call order
-     * exactly). Event-driven drivers register their actors here.
+     * lazily built (FIFO among same-instant, same-priority events, so
+     * a run replays its post order exactly). Event-driven drivers
+     * register their actors here.
      */
     sim::Engine &engine();
 

@@ -1,18 +1,24 @@
 /**
  * @file
  * Scenario-engine soak tests: every gallery campaign under
- * scenarios/ must pass its own [expect] invariants AND be
- * byte-identical across two same-seed runs (obs trace + metrics
- * dump). An inline campaign proves that a brand-new chaos
+ * scenarios/ must pass its own [expect] invariants, be byte-identical
+ * across two same-seed runs (obs trace + metrics dump), AND hash to
+ * the golden digests below — the cross-commit pin that a refactor
+ * kept behaviour. An inline campaign proves that a brand-new chaos
  * composition needs only a text file — no C++. Parser error paths
  * round out the strict-INI contract (typos fail loudly).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "common/hex.hpp"
+#include "crypto/sha256.hpp"
 #include "salus/scenario.hpp"
 
 using namespace salus;
@@ -24,8 +30,9 @@ using namespace salus::core;
 
 namespace {
 
-/** Runs a campaign twice and enforces pass + byte determinism. */
-void
+/** Runs a campaign twice and enforces pass + byte determinism.
+ *  @return the first run's outcome. */
+ScenarioOutcome
 runTwiceAndCheck(const Scenario &sc)
 {
     ScenarioOutcome first = runScenario(sc);
@@ -44,17 +51,128 @@ runTwiceAndCheck(const Scenario &sc)
         << sc.name << ": metrics diverged between same-seed runs";
     EXPECT_EQ(first.completed, second.completed);
     EXPECT_EQ(first.clockEnd, second.clockEnd);
+    return first;
 }
 
 std::string
-galleryPath(const char *file)
+galleryPath(const std::string &file)
 {
     return std::string(SALUS_SCENARIO_DIR) + "/" + file;
+}
+
+/** Every `*.scn` file in the gallery directory, sorted by name. */
+std::vector<std::string>
+galleryFiles()
+{
+    std::vector<std::string> files;
+    std::error_code ec;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(SALUS_SCENARIO_DIR, ec)) {
+        if (entry.path().extension() == ".scn")
+            files.push_back(entry.path().filename().string());
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+/**
+ * SHA-256 (hex) of each gallery campaign's traceJson and metricsText.
+ * These are the bytes `salus_cli run-scenario FILE --once --trace-out
+ * T --metrics-out M` writes, so a row is regenerated with that
+ * command plus sha256sum — only for a deliberate behaviour change,
+ * named as such in the change log. The scalar and accelerated crypto
+ * backends produce the same bytes.
+ */
+struct GoldenDigest
+{
+    const char *file;
+    const char *trace;
+    const char *metrics;
+};
+
+const GoldenDigest kGolden[] = {
+    {"broker_overload.scn",
+     "789208aa26298d4126e730a6e9aab5f2ff00f11cc14a39f403e218817f5580ad",
+     "c7c3a7a2fdd0e7c3aa4a14be372dd2ba38cf058cae9b1af5b0b69929cccfb60c"},
+    {"dma_storm.scn",
+     "104747e2d775035d26af744ed07f9a8b40bc42bed25a27b8ee4c042143db499e",
+     "3aaa9913c5ef83d16cc78b4b9b21676be3a78bb281692a7dae6e9d204fe3021d"},
+    {"mass_rekey.scn",
+     "9d82c61d8b38941da04ffeac0f975cdaaff419ff3fd75e19f183786fdfba3017",
+     "3a52d6fc4c6e5249c77d5af679861a23e78a450e2bbc44f00525723c05167738"},
+    {"noisy_neighbour.scn",
+     "ca5675e19a614f27ba8d245f18637759110b5704d3d5287c91822818a6f2177e",
+     "497bd790d29919e563f16d769b9e6ed6112cceacaf1886d1c8f377e5a5c20b5f"},
+    {"seu_storm.scn",
+     "e64b024d038e99d824eb8c90face2076129a65ad492b70e7af0fa8eadbd19f50",
+     "cc03b707ef96cd771f22507a8873080db09488086206735d2cc7cd5ff3799a97"},
+};
+
+const GoldenDigest *
+goldenFor(const std::string &file)
+{
+    for (const GoldenDigest &row : kGolden)
+        if (file == row.file)
+            return &row;
+    return nullptr;
+}
+
+std::string
+sha256Hex(const std::string &text)
+{
+    return hexEncode(crypto::Sha256::digest(ByteView(
+        reinterpret_cast<const uint8_t *>(text.data()), text.size())));
+}
+
+class GalleryCampaign : public ::testing::TestWithParam<std::string>
+{};
+
+/** gtest parameter names allow only [A-Za-z0-9_]. */
+std::string
+campaignName(const ::testing::TestParamInfo<std::string> &info)
+{
+    std::string name = std::filesystem::path(info.param).stem().string();
+    for (char &c : name)
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return name;
 }
 
 } // namespace
 
 // ------------------------------------------------------- gallery runs
+
+TEST_P(GalleryCampaign, PassesIsDeterministicAndMatchesGoldenDigests)
+{
+    const std::string &file = GetParam();
+    const GoldenDigest *golden = goldenFor(file);
+    ASSERT_NE(golden, nullptr)
+        << file << " has no row in kGolden: add its digests";
+    ScenarioOutcome out =
+        runTwiceAndCheck(parseScenarioFile(galleryPath(file)));
+    EXPECT_EQ(sha256Hex(out.traceJson), golden->trace)
+        << file << ": trace bytes changed";
+    EXPECT_EQ(sha256Hex(out.metricsText), golden->metrics)
+        << file << ": metrics bytes changed";
+}
+
+INSTANTIATE_TEST_SUITE_P(ScenarioGallery, GalleryCampaign,
+                         ::testing::ValuesIn(galleryFiles()),
+                         campaignName);
+
+TEST(ScenarioGallery, EveryGoldenRowHasAFileOnDisk)
+{
+    std::vector<std::string> files = galleryFiles();
+    EXPECT_FALSE(files.empty()) << "no *.scn in " << SALUS_SCENARIO_DIR;
+    for (const GoldenDigest &row : kGolden)
+        EXPECT_NE(std::find(files.begin(), files.end(), row.file),
+                  files.end())
+            << row.file << " is in kGolden but not on disk";
+}
+
+// Named per-campaign checks for the original gallery files, so a
+// failure reads as the campaign that broke even when the directory
+// scan above finds nothing.
 
 TEST(ScenarioGallery, NoisyNeighbourPassesAndIsDeterministic)
 {
@@ -73,8 +191,8 @@ TEST(ScenarioGallery, MassRekeyPassesAndIsDeterministic)
 
 TEST(ScenarioGallery, BrokerOverloadShedsAndRecovers)
 {
-    Scenario sc = parseScenarioFile(galleryPath("broker_overload.scn"));
-    ScenarioOutcome out = runScenario(sc);
+    ScenarioOutcome out =
+        runScenario(parseScenarioFile(galleryPath("broker_overload.scn")));
     EXPECT_TRUE(out.passed());
     for (const std::string &v : out.violations)
         ADD_FAILURE() << v;
@@ -82,7 +200,6 @@ TEST(ScenarioGallery, BrokerOverloadShedsAndRecovers)
     // block: someone was shed, nobody stayed shed.
     EXPECT_GT(out.shedRejected, 0u);
     EXPECT_EQ(out.shedLevelEnd, 0u);
-    runTwiceAndCheck(sc);
 }
 
 // -------------------------------------- campaigns are data, not C++
@@ -212,9 +329,9 @@ TEST(ScenarioParser, StructuralMistakesAreErrors)
 
 TEST(ScenarioParser, GalleryFilesParseCleanlyFromDisk)
 {
-    const char *files[] = {"noisy_neighbour.scn", "seu_storm.scn",
-                           "mass_rekey.scn", "broker_overload.scn"};
-    for (const char *f : files) {
+    std::vector<std::string> files = galleryFiles();
+    EXPECT_FALSE(files.empty());
+    for (const std::string &f : files) {
         Scenario fromDisk = parseScenarioFile(galleryPath(f));
         EXPECT_FALSE(fromDisk.name.empty()) << f;
         EXPECT_FALSE(fromDisk.tenants.empty()) << f;

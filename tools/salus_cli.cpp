@@ -8,6 +8,7 @@
  *                     mitm|revoke>
  *   salus_cli workload <Conv|Affine|Rendering|FaceDetect|NNSearch>
  *                     [--scale PCT]
+ *   salus_cli run-scenario FILE [--once] [--seed N]
  *   salus_cli inspect
  *   salus_cli help
  *
@@ -16,6 +17,7 @@
  * dump); see docs/OBSERVABILITY.md.
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -257,6 +259,18 @@ cmdWorkload(const std::vector<std::string> &args)
     return 0;
 }
 
+/** Strict decimal uint64: digits only, no sign, no overflow. */
+bool
+parseSeed(const std::string &text, uint64_t &out)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    errno = 0;
+    out = std::strtoull(text.c_str(), nullptr, 10);
+    return errno != ERANGE;
+}
+
 int
 cmdRunScenario(const std::vector<std::string> &args)
 {
@@ -265,18 +279,22 @@ cmdRunScenario(const std::vector<std::string> &args)
         return 2;
     }
     bool once = false;
-    bool onEngine = false;
     bool seedOverride = false;
     uint64_t seed = 0;
     for (size_t i = 1; i < args.size(); ++i) {
         if (args[i] == "--once") {
             once = true;
-        } else if (args[i] == "--engine") {
-            onEngine = true;
-        } else if (args[i] == "--seed" && i + 1 < args.size()) {
+        } else if (args[i] == "--seed") {
+            if (i + 1 == args.size() || !parseSeed(args[i + 1], seed)) {
+                std::printf("--seed needs a decimal value in "
+                            "[0, 2^64)\n");
+                return 2;
+            }
             seedOverride = true;
-            seed = std::strtoull(args[i + 1].c_str(), nullptr, 0);
             ++i;
+        } else {
+            std::printf("unknown option '%s'\n", args[i].c_str());
+            return 2;
         }
     }
 
@@ -296,14 +314,12 @@ cmdRunScenario(const std::vector<std::string> &args)
                 static_cast<unsigned long long>(sc.seed), sc.devices,
                 sc.sweeps, sc.tenants.size());
 
-    ScenarioOutcome out =
-        onEngine ? runScenarioOnEngine(sc) : runScenario(sc);
+    ScenarioOutcome out = runScenario(sc);
     // Determinism is part of the contract: unless --once, the
     // campaign runs twice and the obs artifacts must byte-match.
     bool identical = true;
     if (!once) {
-        ScenarioOutcome again =
-            onEngine ? runScenarioOnEngine(sc) : runScenario(sc);
+        ScenarioOutcome again = runScenario(sc);
         identical = out.traceJson == again.traceJson &&
                     out.metricsText == again.metricsText;
     }
@@ -396,7 +412,7 @@ usage()
         "revoke\n"
         "  workload <name> [--scale PCT]     run one Table 4 workload "
         "in all modes\n"
-        "  run-scenario FILE [--once] [--seed N] [--engine]\n"
+        "  run-scenario FILE [--once] [--seed N]\n"
         "                                    run a declarative chaos "
         "campaign\n"
         "        (docs/SCENARIOS.md; default runs twice and checks "
