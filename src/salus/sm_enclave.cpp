@@ -127,14 +127,9 @@ SmEnclaveApp::SmEnclaveApp(tee::TeePlatform &platform, SmEnclaveDeps deps)
 {
     // Accept any same-platform initiator; policy pinning happens on
     // the user side (and at the manufacturer for key release).
-    la_ = std::make_unique<tee::LocalAttestResponder>(
+    sessions_[0].la = std::make_unique<tee::LocalAttestResponder>(
         *this, tee::Measurement{});
-
     devices_ = deps_.devices;
-    if (devices_.empty() && deps_.shell) {
-        // Legacy single-device wiring.
-        devices_.push_back({deps_.shell, deps_.instanceDeviceDna});
-    }
 }
 
 shell::Shell &
@@ -154,57 +149,55 @@ SmEnclaveApp::activeDna() const
     return devices_[activeDevice_].dna;
 }
 
-Bytes
-SmEnclaveApp::laAnswer(ByteView msg1)
+// ---- Peers and their session slots -------------------------------------
+
+void
+SmEnclaveApp::SessionSlot::closeSession()
 {
-    auto msg2 = la_->answer(msg1);
-    return msg2 ? *msg2 : Bytes();
+    secureZero(keySession);
+    keySession.clear();
+    open = false;
+    openNonce = 0;
+    ctr = 0;
+    ctrReserve = 0;
+    dmaSeq = 0;
+    dmaSeqReserve = 0;
+    // Aes's destructor wipes the round keys.
+    secureZero(aesKey);
+    aesKey.clear();
+    aes.reset();
 }
 
-bool
-SmEnclaveApp::laConfirm(ByteView msg3)
+void
+SmEnclaveApp::SessionSlot::resumePast(uint64_t ctrFloor,
+                                      uint64_t ctrBound,
+                                      uint64_t dmaSeqBound)
 {
-    bool ok = la_->confirm(msg3);
-    if (ok) {
-        // New LA session => new session key => fresh sequence space.
-        channelSeq_ = 0;
-    }
-    return ok;
+    ctrReserve = ctrBound;
+    ctr = std::max(ctrFloor, ctrBound);
+    // The next transfer's sync descriptor jumps the fabric's window
+    // forward over whatever part of the reservation was never used.
+    dmaSeqReserve = dmaSeqBound;
+    dmaSeq = dmaSeqBound;
 }
-
-bool
-SmEnclaveApp::laEstablished() const
-{
-    return la_->established();
-}
-
-// ---- Multi-session peers ----------------------------------------------
 
 uint32_t
 SmEnclaveApp::createPeer()
 {
-    if (1 + extraLa_.size() >= kSmMaxSessions)
-        throw SalusError("SM enclave: fabric session slots exhausted");
-    extraLa_.push_back(std::make_unique<tee::LocalAttestResponder>(
-        *this, tee::Measurement{}));
-    extraSeq_.push_back(0);
-    return uint32_t(extraLa_.size()); // peer id == fabric slot
-}
-
-size_t
-SmEnclaveApp::peerCount() const
-{
-    return 1 + extraLa_.size();
+    for (uint32_t slot = 1; slot < kSmMaxSessions; ++slot) {
+        if (sessions_[slot].la)
+            continue;
+        sessions_[slot].la = std::make_unique<tee::LocalAttestResponder>(
+            *this, tee::Measurement{});
+        return slot; // peer id == fabric slot
+    }
+    throw SalusError("SM enclave: fabric session slots exhausted");
 }
 
 tee::LocalAttestResponder *
 SmEnclaveApp::peerLa(uint32_t peer) const
 {
-    if (peer == 0)
-        return la_.get();
-    if (peer - 1 >= extraLa_.size())
-        return nullptr;
-    return extraLa_[peer - 1].get();
+    return peer < kSmMaxSessions ? sessions_[peer].la.get() : nullptr;
 }
 
 Bytes
@@ -226,10 +219,7 @@ SmEnclaveApp::laConfirm(uint32_t peer, ByteView msg3)
     bool ok = la->confirm(msg3);
     if (ok) {
         // New LA session => new session key => fresh sequence space.
-        if (peer == 0)
-            channelSeq_ = 0;
-        else
-            extraSeq_[peer - 1] = 0;
+        sessions_[peer].channelSeq = 0;
     }
     return ok;
 }
@@ -239,12 +229,6 @@ SmEnclaveApp::laEstablished(uint32_t peer) const
 {
     tee::LocalAttestResponder *la = peerLa(peer);
     return la && la->established();
-}
-
-Bytes
-SmEnclaveApp::channelRequest(ByteView sealed)
-{
-    return channelRequest(0, sealed);
 }
 
 Bytes
@@ -260,7 +244,7 @@ SmEnclaveApp::channelRequest(uint32_t peer, ByteView sealed)
     if (!la || !la->established())
         return Bytes();
 
-    uint64_t &seqRef = peer == 0 ? channelSeq_ : extraSeq_[peer - 1];
+    uint64_t &seqRef = sessions_[peer].channelSeq;
     uint64_t seq = seqRef + 1;
     auto plain = channelOpen(la->session().key, kDirUp, seq, sealed);
     if (!plain) {
@@ -404,14 +388,20 @@ SmEnclaveApp::runSecureBoot()
     }
     // Bounded schedule exhausted by transport-class failures: surface
     // the device to the fleet supervisor instead of hammering on.
-    if (deps_.onDeviceFailure) {
-        ErrorContext ctx;
-        ctx.from = deps_.selfEndpoint;
-        ctx.to = "device-" + std::to_string(activeDevice_);
-        ctx.method = "secureBoot";
-        ctx.attempt = maxAttempts;
-        deps_.onDeviceFailure(activeDevice_, ctx);
-    }
+    reportDeviceFailure("secureBoot", maxAttempts);
+}
+
+void
+SmEnclaveApp::reportDeviceFailure(const char *method, int attempts)
+{
+    if (!deps_.onDeviceFailure)
+        return;
+    ErrorContext ctx;
+    ctx.from = deps_.selfEndpoint;
+    ctx.to = "device-" + std::to_string(activeDevice_);
+    ctx.method = method;
+    ctx.attempt = attempts;
+    deps_.onDeviceFailure(activeDevice_, ctx);
 }
 
 bool
@@ -434,7 +424,8 @@ SmEnclaveApp::attemptSecureBoot(std::string &failure, bool &retryable)
     status_.attested = true;
     // Deployment complete: reserve a counter window and persist the
     // deployment table so a crashed SM can resume this session.
-    ctrReserve_ = sessionCtr_ + kCtrReserveStride;
+    SessionSlot &base = sessions_[0];
+    base.ctrReserve = base.ctr + kCtrReserveStride;
     commitJournal();
     return true;
 }
@@ -583,7 +574,7 @@ SmEnclaveApp::deployCl(std::string &failure, bool &retryable)
         retryable = false;
         return false;
     }
-    sessionCtr_ = secrets_.ctrBase;
+    sessions_[0].ctr = secrets_.ctrBase;
     try {
         obs::Span sub(obs::Category::Bitstream, "inject_secrets");
         PhaseScope phase(deps_.sim, phases::kBitstreamManip);
@@ -711,7 +702,7 @@ SmEnclaveApp::rekeySession()
     obs::Span span(obs::Category::Channel, "rekey_session");
     obs::count("channel.rekeys");
 
-    uint64_t ctr = nextSessionCtr();
+    uint64_t ctr = reserveCtrSpan(0, 1);
     uint64_t nonce = rng().nextU64();
     uint64_t mac =
         regchan::rekeyMac(secrets_.sessionMacKey(), ctr, nonce);
@@ -793,75 +784,94 @@ SmEnclaveApp::secureRegOp(const regchan::RegOp &op)
     if (!haveSecrets_ || !status_.ok())
         return {0xfd, 0}; // no attested CL behind the channel
 
-    int maxAttempts = std::max(1, deps_.retry.maxAttempts);
     std::pair<uint8_t, uint64_t> result{0xfc, 0};
-    Bytes preAdoptSession;
-    bool usingPendingKeys = false;
-    for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
-        if (attempt > 1) {
-            deps_.sim.spend(net::kRetryBackoffPhase,
-                            deps_.retry.backoffBefore(attempt));
-        }
+    channelAttempts(0, "secureRegOp", [&]() -> uint8_t {
         result = secureRegOpOnce(op);
-        if (result.first != 0xfc && result.first != 0xfb) {
-            if (usingPendingKeys)
-                clearPendingRekey(); // converged on the rolled keys
-            return result;
+        bool failed = result.first == 0xfc || result.first == 0xfb;
+        return failed ? result.first : 0;
+    });
+    return result;
+}
+
+uint8_t
+SmEnclaveApp::channelAttempts(uint32_t slot, const char *method,
+                              const std::function<uint8_t()> &attempt)
+{
+    // After a re-key whose completion was lost (base slot only), the
+    // fabric holds either the keys we hold or the rolled ones, and a
+    // failed attempt cannot tell a rejection of our keys from a lost
+    // register write. So each failure switches the next attempt to the
+    // other candidate set; any authenticated response settles the
+    // question and clears the record; and when every attempt fails the
+    // pre-call keys come back and the record waits for the next call.
+    // The record always earns one probe, even with retries disabled.
+    bool converge = slot == 0 && havePendingRekey_;
+    int maxAttempts = std::max(converge ? 2 : 1, deps_.retry.maxAttempts);
+    Bytes preCall = converge ? secrets_.keySession : Bytes();
+    bool rolled = false;
+    uint8_t code = 0xfc;
+    for (int attemptNo = 1; attemptNo <= maxAttempts; ++attemptNo) {
+        if (attemptNo > 1) {
+            deps_.sim.spend(net::kRetryBackoffPhase,
+                            deps_.retry.backoffBefore(attemptNo));
         }
-        // Each retry reseals under a fresh counter, so a lost or
-        // garbled transaction cannot be replayed into acceptance. A
-        // rejection right after a failed re-key may mean the fabric
-        // DID roll its keys and only the completion was lost: try the
-        // rolled keys; if the channel still rejects, the roll never
-        // happened — revert.
-        if (havePendingRekey_ && !usingPendingKeys) {
-            preAdoptSession = secrets_.keySession;
-            adoptPendingRekey();
-            usingPendingKeys = true;
-        } else if (usingPendingKeys) {
-            secrets_.keySession = preAdoptSession;
-            secureZero(preAdoptSession);
-            usingPendingKeys = false;
+        code = attempt();
+        if (code == 0)
+            break;
+        if (converge && attemptNo < maxAttempts) {
+            if (rolled)
+                secrets_.keySession = preCall;
+            else
+                adoptPendingRekey();
+            rolled = !rolled;
+        }
+    }
+    if (converge) {
+        if (code == 0)
             clearPendingRekey();
-        }
+        else
+            secrets_.keySession = preCall;
+        secureZero(preCall);
     }
     // Every sealed attempt was lost or rejected — the device is not
     // serving the channel. Tell the supervisor; it owns the decision
     // to quarantine and fail the session over.
-    if (deps_.onDeviceFailure) {
-        ErrorContext ctx;
-        ctx.from = deps_.selfEndpoint;
-        ctx.to = "device-" + std::to_string(activeDevice_);
-        ctx.method = "secureRegOp";
-        ctx.attempt = maxAttempts;
-        deps_.onDeviceFailure(activeDevice_, ctx);
-    }
-    return result;
+    if (code != 0)
+        reportDeviceFailure(method, maxAttempts);
+    return code;
+}
+
+ByteView
+SmEnclaveApp::slotKeys(uint32_t slot) const
+{
+    return slot == 0 ? ByteView(secrets_.keySession)
+                     : ByteView(sessions_[slot].keySession);
 }
 
 const crypto::Aes &
-SmEnclaveApp::slotAes(uint32_t slot, ByteView aesKey)
+SmEnclaveApp::slotAes(uint32_t slot)
 {
-    SlotAesCache &c = slotAesCache_[slot];
-    if (!c.aes || c.key.size() != aesKey.size() ||
-        !std::equal(c.key.begin(), c.key.end(), aesKey.begin())) {
-        secureZero(c.key);
-        c.key.assign(aesKey.begin(), aesKey.end());
-        c.aes = std::make_unique<crypto::Aes>(aesKey);
+    ByteView aesKey = slotKeys(slot).subspan(0, 16);
+    SessionSlot &s = sessions_[slot];
+    if (!s.aes || s.aesKey.size() != aesKey.size() ||
+        !std::equal(s.aesKey.begin(), s.aesKey.end(), aesKey.begin())) {
+        secureZero(s.aesKey);
+        s.aesKey.assign(aesKey.begin(), aesKey.end());
+        s.aes = std::make_unique<crypto::Aes>(aesKey);
     }
-    return *c.aes;
+    return *s.aes;
 }
 
 std::pair<uint8_t, uint64_t>
 SmEnclaveApp::secureRegOpOnce(const regchan::RegOp &op)
 {
-    uint64_t ctr = nextSessionCtr();
-    const crypto::Aes &aes = slotAes(0, secrets_.sessionAesKey());
+    uint64_t ctr = reserveCtrSpan(0, 1);
+    const crypto::Aes &aes = slotAes(0);
+    ByteView macKey = slotKeys(0).subspan(16);
     regchan::SealedRegRequest req;
     {
         obs::Span crypto(obs::Category::Channel, "op_crypto");
-        req = regchan::sealRequest(aes, secrets_.sessionMacKey(), ctr,
-                                   op);
+        req = regchan::sealRequest(aes, macKey, ctr, op);
     }
 
     shell::Shell &sh = activeShell();
@@ -886,8 +896,7 @@ SmEnclaveApp::secureRegOpOnce(const regchan::RegOp &op)
     }
 
     obs::Span crypto(obs::Category::Channel, "op_crypto");
-    auto opened =
-        regchan::openResponse(aes, secrets_.sessionMacKey(), ctr, rsp);
+    auto opened = regchan::openResponse(aes, macKey, ctr, rsp);
     if (!opened) {
         obs::count("channel.rejects");
         return {0xfb, 0}; // response forged or corrupted
@@ -898,13 +907,14 @@ SmEnclaveApp::secureRegOpOnce(const regchan::RegOp &op)
 // ---- Batched channel + multi-session fan-out --------------------------
 
 bool
-SmEnclaveApp::ensureFabricSession(uint32_t slot)
+SmEnclaveApp::ensureSlotOpen(uint32_t slot)
 {
     if (slot == 0)
         return true; // the injected base session always exists
     if (slot >= kSmMaxSessions)
         return false;
-    if (extraSessions_.count(slot))
+    SessionSlot &s = sessions_[slot];
+    if (s.open)
         return true;
     if (!haveSecrets_ || !status_.ok())
         return false;
@@ -916,7 +926,7 @@ SmEnclaveApp::ensureFabricSession(uint32_t slot)
     // base channel, so it strictly increases across re-opens (the
     // fabric refuses stale opens) and is covered by the journal's
     // write-ahead reservation.
-    uint64_t nonce = nextSessionCtr();
+    uint64_t nonce = reserveCtrSpan(0, 1);
     uint64_t mac = regchan::sessionOpenMac(secrets_.sessionMacKey(),
                                            slot, nonce);
 
@@ -931,36 +941,32 @@ SmEnclaveApp::ensureFabricSession(uint32_t slot)
         kSmStatusOk)
         return false;
 
-    FabricSession s;
     s.keySession =
         regchan::deriveSlotSessionKeys(secrets_.keySession, slot, nonce);
     s.openNonce = nonce;
-    extraSessions_[slot] = std::move(s);
+    s.open = true;
     // Persist: a recovered SM must hold the slot keys the fabric holds.
     commitJournal();
     return true;
 }
 
 uint64_t
-SmEnclaveApp::reserveCtrSpan(uint32_t slot, uint64_t n)
+SmEnclaveApp::reserveSpan(uint64_t &used, uint64_t &reserve, uint64_t n)
 {
-    if (slot == 0) {
-        uint64_t base = sessionCtr_ + 1;
-        if (sessionCtr_ + n > ctrReserve_ && deps_.storeJournal) {
-            ctrReserve_ = sessionCtr_ + n + kCtrReserveStride;
-            commitJournal();
-        }
-        sessionCtr_ += n;
-        return base;
-    }
-    FabricSession &s = extraSessions_.at(slot);
-    uint64_t base = s.ctr + 1;
-    if (s.ctr + n > s.reserve && deps_.storeJournal) {
-        s.reserve = s.ctr + n + kCtrReserveStride;
+    uint64_t first = used;
+    if (used + n > reserve) {
+        reserve = used + n + kCtrReserveStride;
         commitJournal();
     }
-    s.ctr += n;
-    return base;
+    used += n;
+    return first;
+}
+
+uint64_t
+SmEnclaveApp::reserveCtrSpan(uint32_t slot, uint64_t n)
+{
+    SessionSlot &s = sessions_[slot];
+    return reserveSpan(s.ctr, s.ctrReserve, n) + 1;
 }
 
 std::vector<regchan::BatchResult>
@@ -980,65 +986,25 @@ SmEnclaveApp::secureRegBatch(uint32_t slot,
         return results;
     }
 
-    int maxAttempts = std::max(1, deps_.retry.maxAttempts);
     size_t at = 0;
     while (at < ops.size()) {
         size_t n = std::min(ops.size() - at, regchan::kMaxBatchOps);
         std::vector<regchan::RegOp> chunk(ops.begin() + long(at),
                                           ops.begin() + long(at + n));
         std::vector<regchan::BatchResult> chunkResults;
-        uint8_t code = 0xfc;
-        Bytes preAdoptSession;
-        bool usingPendingKeys = false;
-        for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
-            if (attempt > 1) {
-                deps_.sim.spend(net::kRetryBackoffPhase,
-                                deps_.retry.backoffBefore(attempt));
-            }
-            // Every attempt reseals under a fresh counter stride, so a
-            // lost or garbled burst can never replay into acceptance.
-            if (slot != 0 && !ensureFabricSession(slot)) {
-                code = 0xfc;
-            } else {
+        uint8_t code =
+            channelAttempts(slot, "secureRegBatch", [&]() -> uint8_t {
+                if (!ensureSlotOpen(slot))
+                    return 0xfc;
                 uint64_t ctrBase = reserveCtrSpan(slot, n);
-                code = secureRegBatchOnce(slot, ctrBase, chunk,
+                return secureRegBatchOnce(slot, ctrBase, chunk,
                                           chunkResults);
-            }
-            if (code == 0)
-                break;
-            // Same pending-rekey convergence dance as the single-op
-            // path; only the base session ever re-keys.
-            if (slot == 0) {
-                if (havePendingRekey_ && !usingPendingKeys) {
-                    preAdoptSession = secrets_.keySession;
-                    adoptPendingRekey();
-                    usingPendingKeys = true;
-                } else if (usingPendingKeys) {
-                    secrets_.keySession = preAdoptSession;
-                    secureZero(preAdoptSession);
-                    usingPendingKeys = false;
-                    clearPendingRekey();
-                }
-            }
-        }
+            });
         if (code != 0) {
-            // Every sealed attempt was lost or rejected: surface the
-            // device to the supervisor and fail the remaining ops with
-            // the channel-level status.
-            if (deps_.onDeviceFailure) {
-                ErrorContext ctx;
-                ctx.from = deps_.selfEndpoint;
-                ctx.to = "device-" + std::to_string(activeDevice_);
-                ctx.method = "secureRegBatch";
-                ctx.attempt = maxAttempts;
-                deps_.onDeviceFailure(activeDevice_, ctx);
-            }
-            while (results.size() < ops.size())
-                results.push_back(regchan::BatchResult{code, 0});
+            // Fail the remaining ops with the channel-level status.
+            results.resize(ops.size(), regchan::BatchResult{code, 0});
             return results;
         }
-        if (usingPendingKeys)
-            clearPendingRekey(); // converged on the rolled keys
         results.insert(results.end(), chunkResults.begin(),
                        chunkResults.end());
         at += n;
@@ -1051,17 +1017,8 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
                                  const std::vector<regchan::RegOp> &ops,
                                  std::vector<regchan::BatchResult> &out)
 {
-    ByteView aesKey;
-    ByteView macKey;
-    if (slot == 0) {
-        aesKey = secrets_.sessionAesKey();
-        macKey = secrets_.sessionMacKey();
-    } else {
-        const FabricSession &s = extraSessions_.at(slot);
-        aesKey = ByteView(s.keySession).subspan(0, 16);
-        macKey = ByteView(s.keySession).subspan(16, 32);
-    }
-    const crypto::Aes &aes = slotAes(slot, aesKey);
+    const crypto::Aes &aes = slotAes(slot);
+    ByteView macKey = slotKeys(slot).subspan(16);
 
     // Host-side crypto (seal + open) is one AES block per op each way
     // plus a single MAC pass per direction — the cost batching
@@ -1132,32 +1089,6 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
 
 // ---- Bulk data plane (sealed DMA descriptors) ------------------------
 
-uint64_t
-SmEnclaveApp::reserveDmaSeqSpan(uint32_t slot, uint64_t n)
-{
-    if (slot == 0) {
-        uint64_t base = dmaSeq_;
-        if (dmaSeq_ + n > dmaSeqReserve_ && deps_.storeJournal) {
-            // Write-ahead, same contract as nextSessionCtr(): the
-            // journal's bound always covers every sequence number the
-            // fabric may have seen, so recovery resumes past it and a
-            // seq (and with it a keystream stride) is never re-issued.
-            dmaSeqReserve_ = dmaSeq_ + n + kCtrReserveStride;
-            commitJournal();
-        }
-        dmaSeq_ += n;
-        return base;
-    }
-    FabricSession &s = extraSessions_.at(slot);
-    uint64_t base = s.dmaSeq;
-    if (s.dmaSeq + n > s.dmaSeqReserve && deps_.storeJournal) {
-        s.dmaSeqReserve = s.dmaSeq + n + kCtrReserveStride;
-        commitJournal();
-    }
-    s.dmaSeq += n;
-    return base;
-}
-
 dmachan::DmaTransferReport
 SmEnclaveApp::dmaWrite(uint32_t slot, uint64_t addr, ByteView data,
                        const DmaOptions &opts)
@@ -1202,31 +1133,23 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
         report.status = 0xfd;
         return report;
     }
-    if (!haveSecrets_ || !status_.ok() || slot >= kSmMaxSessions ||
-        (slot != 0 && !ensureFabricSession(slot))) {
+    if (!haveSecrets_ || !status_.ok() || !ensureSlotOpen(slot)) {
         report.status = 0xfd; // no attested CL behind the channel
         return report;
     }
 
-    ByteView aesKey;
-    ByteView macKey;
-    if (slot == 0) {
-        aesKey = secrets_.sessionAesKey();
-        macKey = secrets_.sessionMacKey();
-    } else {
-        const FabricSession &s = extraSessions_.at(slot);
-        aesKey = ByteView(s.keySession).subspan(0, 16);
-        macKey = ByteView(s.keySession).subspan(16, 32);
-    }
-    // Sealing lambdas share the slot's cached schedule; the cache map
-    // entry outlives the window engine's run() below.
-    const crypto::Aes *aesCtx = &slotAes(slot, aesKey);
+    // Sealing lambdas share the slot's cached schedule; the slot
+    // outlives the window engine's run() below.
+    const crypto::Aes *aesCtx = &slotAes(slot);
+    ByteView macKey = slotKeys(slot).subspan(16);
 
     size_t chunkBytes =
         std::clamp<size_t>(opts.descriptorBytes, dmachan::kDmaBlock,
                            read ? kDmaReadChunkCap : kDmaWriteChunkCap);
     std::vector<DmaChunk> chunks = chunkSgList(sg, chunkBytes);
-    uint64_t seqBase = reserveDmaSeqSpan(slot, chunks.size());
+    SessionSlot &session = sessions_[slot];
+    uint64_t seqBase = reserveSpan(session.dmaSeq, session.dmaSeqReserve,
+                                   chunks.size());
     if (out)
         out->assign(total, 0);
 
@@ -1373,16 +1296,10 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
     report = engine.run(work);
     obs::count("dma.bytes", report.bytes);
 
-    if (report.status == 0xf8 && deps_.onDeviceFailure) {
-        // Every send of some descriptor was lost or rejected — the
-        // same supervisor cue as an exhausted register channel.
-        ErrorContext ctx;
-        ctx.from = deps_.selfEndpoint;
-        ctx.to = "device-" + std::to_string(activeDevice_);
-        ctx.method = "dmaTransfer";
-        ctx.attempt = int(opts.maxAttempts);
-        deps_.onDeviceFailure(activeDevice_, ctx);
-    }
+    // Every send of some descriptor was lost or rejected — the same
+    // supervisor cue as an exhausted register channel.
+    if (report.status == 0xf8)
+        reportDeviceFailure("dmaTransfer", int(opts.maxAttempts));
     return report;
 }
 
@@ -1556,44 +1473,19 @@ SmEnclaveApp::everRetiredFingerprint(ByteView fp) const
 void
 SmEnclaveApp::retireCurrentSecrets()
 {
-    // Derived slot keys are functions of the retiring base keys: wipe
-    // them too. The next batch on each slot lazily re-opens it under
-    // the fresh base session.
-    for (auto &[slot, s] : extraSessions_)
-        secureZero(s.keySession);
-    extraSessions_.clear();
-    // Cached schedules hold expansions of the retiring keys; drop them
-    // (Aes's destructor wipes the round keys).
-    for (auto &[slot, c] : slotAesCache_)
-        secureZero(c.key);
-    slotAesCache_.clear();
+    // Derived slot keys and cached schedules are functions of the
+    // retiring base keys: wipe them too. Fresh keys mean fresh counter
+    // and keystream spaces, so every slot's counter and DMA sequence
+    // space restarts with them (the fabric's window resets on open).
+    // The next batch on each slot lazily re-opens it under the fresh
+    // base session.
+    for (SessionSlot &s : sessions_)
+        s.closeSession();
     if (!haveSecrets_)
         return;
     retiredFingerprints_.insert(secretsFingerprint());
     secrets_.wipe();
     haveSecrets_ = false;
-    sessionCtr_ = 0;
-    ctrReserve_ = 0;
-    // Fresh keys mean a fresh keystream space, so the DMA sequence
-    // space restarts with them (the fabric's window resets on open).
-    dmaSeq_ = 0;
-    dmaSeqReserve_ = 0;
-}
-
-uint64_t
-SmEnclaveApp::nextSessionCtr()
-{
-    uint64_t ctr = sessionCtr_ + 1;
-    if (ctr > ctrReserve_ && deps_.storeJournal) {
-        // Write-ahead: extend the reservation BEFORE the counter is
-        // used. If the commit crashes, the old journal's reservation
-        // still covers everything the fabric ever saw, so a recovered
-        // SM resumes past it and never re-issues a counter.
-        ctrReserve_ = ctr + kCtrReserveStride;
-        commitJournal();
-    }
-    sessionCtr_ = ctr;
-    return ctr;
 }
 
 // ---- Crash-recovery journal -----------------------------------------
@@ -1619,19 +1511,24 @@ SmEnclaveApp::buildJournal() const
                 d.keyAttest = secrets_.keyAttest;
                 d.keySession = secrets_.keySession;
                 d.ctrBase = secrets_.ctrBase;
-                d.ctrReserve = ctrReserve_;
-                d.dmaSeqReserve = dmaSeqReserve_;
+                d.ctrReserve = sessions_[0].ctrReserve;
+                d.dmaSeqReserve = sessions_[0].dmaSeqReserve;
                 if (havePendingRekey_) {
                     d.havePendingRekey = 1;
                     d.pendingRekeyMacKey = pendingRekeyMacKey_;
                     d.pendingRekeyNonce = pendingRekeyNonce_;
                 }
-                for (const auto &[slot, s] : extraSessions_) {
+                // Slot 0 is the device record itself; open derived
+                // slots follow in ascending order.
+                for (uint32_t slot = 1; slot < kSmMaxSessions; ++slot) {
+                    const SessionSlot &s = sessions_[slot];
+                    if (!s.open)
+                        continue;
                     SmJournalSession js;
                     js.slot = slot;
                     js.keySession = s.keySession;
                     js.openNonce = s.openNonce;
-                    js.ctrReserve = s.reserve;
+                    js.ctrReserve = s.ctrReserve;
                     js.dmaSeqReserve = s.dmaSeqReserve;
                     d.sessions.push_back(std::move(js));
                 }
@@ -1767,34 +1664,23 @@ SmEnclaveApp::rehydrate()
             secrets_.keySession = d.keySession;
             secrets_.ctrBase = d.ctrBase;
             haveSecrets_ = true;
-            ctrReserve_ = d.ctrReserve;
-            // Resume PAST the reservation: counters inside it may
-            // already have hit the fabric before the crash.
-            sessionCtr_ = std::max(d.ctrBase, d.ctrReserve);
-            // Same for the DMA sequence space: the next transfer's
-            // sync descriptor jumps the fabric's window forward over
-            // whatever part of the reservation was never used.
-            dmaSeqReserve_ = d.dmaSeqReserve;
-            dmaSeq_ = d.dmaSeqReserve;
+            sessions_[0].resumePast(d.ctrBase, d.ctrReserve,
+                                    d.dmaSeqReserve);
             if (d.havePendingRekey) {
                 pendingRekeyMacKey_ = d.pendingRekeyMacKey;
                 pendingRekeyNonce_ = d.pendingRekeyNonce;
                 havePendingRekey_ = true;
             }
-            extraSessions_.clear();
-            for (const SmJournalSession &s : d.sessions) {
-                if (s.slot == 0 || s.slot >= kSmMaxSessions)
+            for (uint32_t slot = 1; slot < kSmMaxSessions; ++slot)
+                sessions_[slot].closeSession();
+            for (const SmJournalSession &js : d.sessions) {
+                if (js.slot == 0 || js.slot >= kSmMaxSessions)
                     continue; // implausible journal entry
-                FabricSession fs;
-                fs.keySession = s.keySession;
-                fs.openNonce = s.openNonce;
-                fs.reserve = s.ctrReserve;
-                // Resume PAST the reservation: counters inside it may
-                // already have hit the fabric before the crash.
-                fs.ctr = s.ctrReserve;
-                fs.dmaSeqReserve = s.dmaSeqReserve;
-                fs.dmaSeq = s.dmaSeqReserve;
-                extraSessions_[s.slot] = std::move(fs);
+                SessionSlot &s = sessions_[js.slot];
+                s.keySession = js.keySession;
+                s.openNonce = js.openNonce;
+                s.open = true;
+                s.resumePast(0, js.ctrReserve, js.dmaSeqReserve);
             }
         }
     }

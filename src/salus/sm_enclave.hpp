@@ -39,6 +39,7 @@
 #ifndef SALUS_SALUS_SM_ENCLAVE_HPP
 #define SALUS_SALUS_SM_ENCLAVE_HPP
 
+#include <array>
 #include <functional>
 #include <map>
 #include <set>
@@ -51,6 +52,7 @@
 #include "salus/reg_channel.hpp"
 #include "salus/secrets.hpp"
 #include "salus/sim_hooks.hpp"
+#include "salus/sm_logic.hpp"
 #include "shell/shell.hpp"
 #include "sim/fault.hpp"
 #include "tee/local_attest.hpp"
@@ -78,13 +80,10 @@ struct SmDeviceBinding
 /** Host-side/service dependencies handed to the SM application. */
 struct SmEnclaveDeps
 {
-    shell::Shell *shell = nullptr;
     net::Network *network = nullptr;
     std::string selfEndpoint;         ///< our RPC endpoint name
     std::string manufacturerEndpoint; ///< key-distribution endpoint
-    uint64_t instanceDeviceDna = 0;   ///< CSP-advertised FPGA identity
-    /** The device pool. When empty, a single-device pool is built
-     *  from the legacy shell/instanceDeviceDna fields above. */
+    /** The device pool; device 0 starts active. */
     std::vector<SmDeviceBinding> devices;
     /** Pulls the CL bitstream file from (untrusted) cloud storage. */
     std::function<Bytes()> fetchBitstream;
@@ -127,25 +126,18 @@ class SmEnclaveApp : public tee::Enclave
     /** Measurement of defaultImage() — whitelisted for key release. */
     static tee::Measurement defaultMeasurement();
 
-    // ---- Local attestation responder (untrusted-host entry) --------
-    Bytes laAnswer(ByteView msg1);
-    bool laConfirm(ByteView msg3);
-    bool laEstablished() const;
-
-    // ---- Multi-session peers (extension) -----------------------------
+    // ---- Peers: LA responders (untrusted-host entry) -----------------
     //
     // Each peer is one user enclave with its own LA responder, sealed
     // channel sequence space, and fabric session slot (peer id ==
-    // slot). Peer 0 is the legacy session owner; only it may set
-    // metadata, run secure boot or re-key. Further peers get derived
-    // Key_session material fanned out by kSmCmdOpenSession, so tenants
-    // never share keystreams.
+    // slot). Peer 0 is the session owner and always exists; only it
+    // may set metadata, run secure boot or re-key. Further peers get
+    // derived Key_session material fanned out by kSmCmdOpenSession, so
+    // tenants never share keystreams.
 
     /** Allocates the next peer/session slot (1..kSmMaxSessions-1).
      *  @throws SalusError when the fabric's slots are exhausted. */
     uint32_t createPeer();
-    /** Peers allocated so far, including the implicit peer 0. */
-    size_t peerCount() const;
 
     Bytes laAnswer(uint32_t peer, ByteView msg1);
     bool laConfirm(uint32_t peer, ByteView msg3);
@@ -153,13 +145,11 @@ class SmEnclaveApp : public tee::Enclave
 
     // ---- Sealed channel from the user enclave -----------------------
     /**
-     * Handles one sealed channel request and returns the sealed
-     * response. Garbage in -> empty reply out (never throws for
-     * attacker-controlled input). Refused entirely after a failed
-     * journal recovery (fail closed).
+     * Handles one sealed channel request on the peer's channel and
+     * returns the sealed response. Garbage in -> empty reply out
+     * (never throws for attacker-controlled input). Refused entirely
+     * after a failed journal recovery (fail closed).
      */
-    Bytes channelRequest(ByteView sealed);
-    /** Same, on a specific peer's channel. */
     Bytes channelRequest(uint32_t peer, ByteView sealed);
 
     /**
@@ -339,41 +329,84 @@ class SmEnclaveApp : public tee::Enclave
     }
 
   private:
-    /** One derived fabric session the SM multiplexes (slots >= 1). */
-    struct FabricSession
+    /**
+     * One peer and its fabric session slot (slot == peer), mirroring
+     * SmLogic's per-slot table. Slot 0 is the injected base session:
+     * it is live while haveSecrets_ and its keys live in secrets_ (see
+     * slotKeys()). Slots >= 1 hold keys derived when the slot opens.
+     */
+    struct SessionSlot
     {
-        Bytes keySession;       ///< 48 bytes (AES + MAC), derived
-        uint64_t openNonce = 0; ///< nonce the slot was opened with
-        uint64_t ctr = 0;       ///< last counter handed out
-        uint64_t reserve = 0;   ///< write-ahead journal reservation
-        uint64_t dmaSeq = 0;    ///< next DMA descriptor sequence
-        uint64_t dmaSeqReserve = 0; ///< write-ahead DMA seq bound
+        /** The peer's LA responder; null until the peer exists. */
+        std::unique_ptr<tee::LocalAttestResponder> la;
+        uint64_t channelSeq = 0; ///< last sealed-channel seq accepted
+        bool open = false;       ///< derived session live (slots >= 1)
+        Bytes keySession;        ///< 48 bytes (AES + MAC), slots >= 1
+        uint64_t openNonce = 0;  ///< nonce the slot was opened with
+        uint64_t ctr = 0;        ///< last register counter handed out
+        uint64_t ctrReserve = 0; ///< write-ahead journal bound on ctr
+        uint64_t dmaSeq = 0;     ///< next DMA descriptor sequence
+        uint64_t dmaSeqReserve = 0; ///< write-ahead bound on dmaSeq
+        /** Expanded AES schedule of the slot's current key, and the
+         *  key bytes it was built from (see slotAes()). */
+        Bytes aesKey;
+        std::unique_ptr<crypto::Aes> aes;
+
+        /** Wipes the slot's keys, cached schedule and counters; the
+         *  peer (LA responder, channel sequence) stays. */
+        void closeSession();
+        /** Resumes the counter and DMA sequence spaces PAST journalled
+         *  reservations: values inside them may already have hit the
+         *  fabric before a crash. */
+        void resumePast(uint64_t ctrFloor, uint64_t ctrBound,
+                        uint64_t dmaSeqBound);
     };
 
     Bytes handlePlainRequest(uint32_t peer, ByteView plain);
     tee::LocalAttestResponder *peerLa(uint32_t peer) const;
+    /** The slot's 48-byte session keys (AES || MAC). The one place
+     *  slot 0 differs: its keys are the injected secrets_. */
+    ByteView slotKeys(uint32_t slot) const;
+    /** Returns the slot's cached expanded AES schedule, rebuilding it
+     *  only when the key bytes differ from the cached copy (open,
+     *  re-key, failover and journal restore all change the bytes, so
+     *  the cache self-heals on every key-rolling path). */
+    const crypto::Aes &slotAes(uint32_t slot);
     /** Opens the fabric session slot if not already open (lazy, after
      *  every failover the next batch re-opens it under the fresh base
-     *  keys). */
-    bool ensureFabricSession(uint32_t slot);
-    /** Reserves a contiguous span of n counters on the slot, extending
-     *  the journal's write-ahead reservation first when needed.
+     *  keys). Slot 0 always counts as open: callers check that an
+     *  attested CL stands behind it. */
+    bool ensureSlotOpen(uint32_t slot);
+    /**
+     * The write-ahead rule for every monotone space the fabric checks
+     * (register counters and DMA sequence numbers, on every slot):
+     * hands out n values starting at `used` and, BEFORE any of them
+     * can reach the fabric, extends the journalled `reserve` when the
+     * span runs past it. If the commit crashes, the old journal's
+     * reservation still covers everything the fabric ever saw, so a
+     * recovered SM resumes past it and never re-issues a value.
+     * @return the old `used`.
+     */
+    uint64_t reserveSpan(uint64_t &used, uint64_t &reserve, uint64_t n);
+    /** Reserves n fresh register counters on the slot.
      *  @return the first counter of the span. */
     uint64_t reserveCtrSpan(uint32_t slot, uint64_t n);
+    /**
+     * The one bounded-attempt loop of the secure register channel
+     * (single ops and bursts). `attempt` returns 0 on an
+     * authenticated response, else 0xfc/0xfb; every attempt reseals
+     * under fresh counters. On the base slot with a pending re-key
+     * record it also converges the keys (see the definition). When
+     * every attempt fails, onDeviceFailure hears `method`.
+     * @return the last attempt's code.
+     */
+    uint8_t channelAttempts(uint32_t slot, const char *method,
+                            const std::function<uint8_t()> &attempt);
     /** One sealed burst attempt. @return 0 ok (out filled), 0xfc
      *  fabric rejected, 0xfb response forged. */
     uint8_t secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
                                const std::vector<regchan::RegOp> &ops,
                                std::vector<regchan::BatchResult> &out);
-    /** Returns the slot's cached expanded AES schedule, rebuilding it
-     *  only when the key bytes differ from the cached copy (open,
-     *  re-key, failover and journal restore all change the bytes, so
-     *  the cache self-heals on every key-rolling path). */
-    const crypto::Aes &slotAes(uint32_t slot, ByteView aesKey);
-    /** Reserves n DMA descriptor sequence numbers on the slot,
-     *  extending the journal's write-ahead reservation first when
-     *  needed. @return the first sequence number of the span. */
-    uint64_t reserveDmaSeqSpan(uint32_t slot, uint64_t n);
     /** The shared windowed-transfer driver behind dmaWrite/dmaRead. */
     dmachan::DmaTransferReport
     dmaTransfer(uint32_t slot, bool read,
@@ -395,16 +428,14 @@ class SmEnclaveApp : public tee::Enclave
     std::pair<uint8_t, uint64_t> secureRegOpOnce(const regchan::RegOp &op);
     void adoptPendingRekey();
     void clearPendingRekey();
+    /** Tells the supervisor the active device exhausted `attempts`
+     *  on `method` (its cue to consider failover). */
+    void reportDeviceFailure(const char *method, int attempts);
 
     shell::Shell &activeShell() const;
     uint64_t activeDna() const;
     /** Fingerprints + wipes the live secrets (no-op when none). */
     void retireCurrentSecrets();
-    /** Next strictly-increasing session counter; extends the
-     *  journal's write-ahead reservation before handing out a value
-     *  past it, so a crash can never re-issue a counter the fabric
-     *  already consumed. */
-    uint64_t nextSessionCtr();
     /** Persists the deployment table + session metadata: seal, store
      *  at version counter+1, then increment the counter. Crash points
      *  before and after the store are fault-injectable. */
@@ -412,21 +443,8 @@ class SmEnclaveApp : public tee::Enclave
     SmJournal buildJournal() const;
 
     SmEnclaveDeps deps_;
-    std::unique_ptr<tee::LocalAttestResponder> la_;
-    uint64_t channelSeq_ = 0;
-    /** Extra peers (index i = peer i+1) and their sequence spaces. */
-    std::vector<std::unique_ptr<tee::LocalAttestResponder>> extraLa_;
-    std::vector<uint64_t> extraSeq_;
-    /** Open derived fabric sessions, keyed by slot (>= 1). */
-    std::map<uint32_t, FabricSession> extraSessions_;
-    /** Cached expanded AES schedules, one per session slot (see
-     *  slotAes()). */
-    struct SlotAesCache
-    {
-        Bytes key;
-        std::unique_ptr<crypto::Aes> aes;
-    };
-    std::map<uint32_t, SlotAesCache> slotAesCache_;
+    /** Every peer and fabric session slot, indexed by slot. */
+    std::array<SessionSlot, kSmMaxSessions> sessions_;
 
     ClMetadata metadata_;
     bool haveMetadata_ = false;
@@ -434,10 +452,6 @@ class SmEnclaveApp : public tee::Enclave
     std::map<uint64_t, Bytes> deviceKeys_;
     ClSecrets secrets_;
     bool haveSecrets_ = false;
-    uint64_t sessionCtr_ = 0;
-    /** Base-session DMA descriptor sequence space (slot 0). */
-    uint64_t dmaSeq_ = 0;
-    uint64_t dmaSeqReserve_ = 0;
     ClBootStatus status_;
     /** Set when a re-key command's completion was lost: the fabric
      *  may have rolled its keys while we kept the old ones. Holds the
@@ -449,9 +463,6 @@ class SmEnclaveApp : public tee::Enclave
     // ---- Fleet + journal state --------------------------------------
     std::vector<SmDeviceBinding> devices_;
     uint32_t activeDevice_ = 0;
-    /** Write-ahead session-counter reservation persisted in the
-     *  journal; restart resumes past it, never inside it. */
-    uint64_t ctrReserve_ = 0;
     /** Fingerprints of every secret set ever retired. */
     std::set<Bytes> retiredFingerprints_;
     uint64_t journalSeq_ = 0;

@@ -101,7 +101,7 @@ UserEnclaveApp::UserEnclaveApp(tee::TeePlatform &platform,
 Bytes
 UserEnclaveApp::channelRoundtrip(ByteView plainRequest)
 {
-    uint64_t seq = ++channelSeq_;
+    uint64_t seq = ++sendSeq_;
     Bytes sealed =
         channelSeal(la_->session().key, kDirUp, seq, plainRequest);
     Bytes sealedResponse = transport_.channel(sealed);
@@ -146,7 +146,7 @@ UserEnclaveApp::handleRaRequest(ByteView request)
         }
         // Fresh LA session => fresh channel sequence space (the peer
         // may be a restarted SM instance expecting seq 1).
-        channelSeq_ = 0;
+        sendSeq_ = 0;
         la_ = std::make_unique<tee::LocalAttestInitiator>(*this,
                                                           expectedSm_);
         Bytes msg2 = transport_.la1(la_->start());
@@ -292,7 +292,7 @@ UserEnclaveApp::attachToPlatform()
             sim_.spend(phases::kLocalAttest,
                        sim_.cost->localAttestation());
         }
-        channelSeq_ = 0;
+        sendSeq_ = 0;
         la_ = std::make_unique<tee::LocalAttestInitiator>(*this,
                                                           expectedSm_);
         Bytes msg2 = transport_.la1(la_->start());

@@ -139,7 +139,7 @@ class UserEnclaveApp : public tee::Enclave
     SimHooks sim_;
     std::unique_ptr<tee::LocalAttestInitiator> la_;
     bool laOk_ = false;
-    uint64_t channelSeq_ = 0;
+    uint64_t sendSeq_ = 0;
     Bytes wrapPriv_, wrapPub_;
     Bytes dataKey_;
 };

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <tuple>
+
 #include "common/errors.hpp"
 #include "fpga/ip.hpp"
 #include "salus/sm_logic.hpp"
@@ -217,6 +221,143 @@ TEST(FaultRecovery, LostRekeyStatusConverges)
     EXPECT_TRUE(user.secureWrite(0x10, 78));
     EXPECT_EQ(user.secureRead(0x10), 78u);
 }
+
+TEST(FaultRecovery, LostRekeyConvergesWithRetriesDisabled)
+{
+    core::TestbedConfig cfg;
+    cfg.retry = net::RetryPolicy::none();
+    auto tb = makeTestbed(std::move(cfg));
+    ASSERT_TRUE(tb->runDeployment().ok);
+    core::UserEnclaveApp &user = tb->userApp();
+
+    tb->faultInjector().arm(
+        sim::FaultRule::regFault(1.0).match("read").times(1));
+    EXPECT_FALSE(user.rekeySession());
+
+    // A pending re-key record always earns one probe under the rolled
+    // keys, even when the retry schedule allows a single attempt.
+    EXPECT_TRUE(user.secureWrite(0x10, 77));
+    EXPECT_EQ(user.secureRead(0x10), 77u);
+}
+
+/** (burst channel instead of single ops, re-key completion lost
+ *  instead of the re-key request). */
+using LostRekeyCase = std::tuple<bool, bool>;
+
+class LostRekeyThenDroppedWrite
+    : public ::testing::TestWithParam<LostRekeyCase>
+{
+};
+
+TEST_P(LostRekeyThenDroppedWrite, BaseChannelConverges)
+{
+    auto [batch, completionLost] = GetParam();
+    core::TestbedConfig cfg;
+    if (!completionLost)
+        cfg.retry.maxAttempts = 2;
+    auto tb = makeTestbed(std::move(cfg));
+    ASSERT_TRUE(tb->runDeployment().ok);
+    core::UserEnclaveApp &user = tb->userApp();
+    core::SmEnclaveApp &sm = tb->smApp();
+
+    // One base-channel op, through CMD 2 or through a one-op burst.
+    auto write = [&](uint64_t value) {
+        if (!batch)
+            return user.secureWrite(0x10, value);
+        auto r = sm.secureRegBatch(0, {{true, 0x10, value}});
+        return r.size() == 1 && r[0].status == 0;
+    };
+    auto read = [&]() -> std::optional<uint64_t> {
+        if (!batch)
+            return user.secureRead(0x10);
+        auto r = sm.secureRegBatch(0, {{false, 0x10, 0}});
+        if (r.size() != 1 || r[0].status != 0)
+            return std::nullopt;
+        return r[0].data;
+    };
+    // A burst has more writes to lose before the fabric notices.
+    uint32_t drops = batch ? 3 : 1;
+
+    if (completionLost) {
+        // The fabric rolls its keys but the completion read is lost.
+        // The next op's first attempt (old keys) is rejected before
+        // the window opens; the probe under the rolled keys, after
+        // the backoff, loses a write. That failure says nothing about
+        // the rolled keys, so the loop must keep alternating.
+        tb->faultInjector().arm(
+            sim::FaultRule::regFault(1.0).match("read").times(1));
+        EXPECT_FALSE(user.rekeySession());
+        sim::Nanos now = tb->clock().now();
+        tb->faultInjector().arm(sim::FaultRule::regFault(1.0)
+                                    .match("write")
+                                    .during(now + sim::kMs,
+                                            now + 100 * sim::kSec)
+                                    .times(drops));
+    } else {
+        // The re-key request is lost: the fabric never rolls and the
+        // old keys keep working. The first authenticated response
+        // under them must clear the stale record, or the next lost
+        // write sends the retry to the rolled keys.
+        tb->faultInjector().arm(
+            sim::FaultRule::regFault(1.0).match("write").times(1));
+        EXPECT_FALSE(user.rekeySession());
+        ASSERT_TRUE(write(76));
+        tb->faultInjector().arm(
+            sim::FaultRule::regFault(1.0).match("write").times(drops));
+    }
+
+    EXPECT_TRUE(write(77));
+    EXPECT_TRUE(write(78));
+    EXPECT_EQ(read(), std::optional<uint64_t>(78));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCases, LostRekeyThenDroppedWrite,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<LostRekeyCase> &info) {
+        return std::string(std::get<0>(info.param) ? "Batch" : "SingleOp") +
+               (std::get<1>(info.param) ? "_CompletionLost"
+                                        : "_RequestLost");
+    });
+
+class LostRekeyThenFailedCall : public ::testing::TestWithParam<bool>
+{
+};
+
+TEST_P(LostRekeyThenFailedCall, RecordAndPreCallKeysSurvive)
+{
+    bool completionLost = GetParam();
+    core::TestbedConfig cfg;
+    if (!completionLost)
+        cfg.retry.maxAttempts = 2;
+    int attempts = cfg.retry.maxAttempts;
+    auto tb = makeTestbed(std::move(cfg));
+    ASSERT_TRUE(tb->runDeployment().ok);
+    core::UserEnclaveApp &user = tb->userApp();
+
+    tb->faultInjector().arm(sim::FaultRule::regFault(1.0)
+                                .match(completionLost ? "read" : "write")
+                                .times(1));
+    EXPECT_FALSE(user.rekeySession());
+
+    // Every write of the next op is lost (a single op writes IN0-IN3
+    // and CMD on each attempt), under either key set. The call fails,
+    // but it must hand back the keys it started with and keep the
+    // pending record: the next call still has both candidates to try.
+    tb->faultInjector().arm(sim::FaultRule::regFault(1.0)
+                                .match("write")
+                                .times(uint32_t(5 * attempts)));
+    EXPECT_FALSE(user.secureWrite(0x10, 77));
+
+    EXPECT_TRUE(user.secureWrite(0x10, 78));
+    EXPECT_EQ(user.secureRead(0x10), 78u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothLosses, LostRekeyThenFailedCall, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool> &info) {
+        return std::string(info.param ? "CompletionLost" : "RequestLost");
+    });
 
 TEST(FaultRecovery, LostRegisterWriteRetriedWithFreshCounter)
 {

@@ -249,7 +249,8 @@ TEST(Fuzz, JournalParserNeverCrashesOnCorruption)
 {
     crypto::CtrDrbg rng(uint64_t(1011));
 
-    // A realistic journal: two devices, one mid-rekey, retired keys.
+    // A realistic journal: two devices, one mid-rekey with two open
+    // tenant slots and a DMA reservation, retired keys.
     core::SmJournal j;
     j.version = 9;
     j.haveMetadata = 1;
@@ -268,9 +269,19 @@ TEST(Fuzz, JournalParserNeverCrashesOnCorruption)
             d.keySession = rng.bytes(48);
             d.ctrBase = 100;
             d.ctrReserve = 164;
+            d.dmaSeqReserve = 72;
             d.havePendingRekey = 1;
             d.pendingRekeyMacKey = rng.bytes(32);
             d.pendingRekeyNonce = 7;
+            for (uint32_t slot : {1u, 3u}) {
+                core::SmJournalSession js;
+                js.slot = slot;
+                js.keySession = rng.bytes(48);
+                js.openNonce = 110 + slot;
+                js.ctrReserve = 64 + slot;
+                js.dmaSeqReserve = 80 + slot;
+                d.sessions.push_back(js);
+            }
         }
         j.devices.push_back(d);
     }
@@ -327,7 +338,7 @@ TEST(Fuzz, SmChannelEndpointSurvivesGarbage)
     crypto::CtrDrbg rng(uint64_t(1008));
     for (int i = 0; i < 200; ++i) {
         Bytes junk = rng.bytes(rng.below(128));
-        EXPECT_TRUE(tb.smApp().channelRequest(junk).empty());
+        EXPECT_TRUE(tb.smApp().channelRequest(0, junk).empty());
     }
     // The legitimate channel still works afterwards.
     EXPECT_TRUE(tb.userApp().secureWrite(0x00, 5));

@@ -17,6 +17,7 @@
 
 #include "common/errors.hpp"
 #include "common/serde.hpp"
+#include "crash_sweep.hpp"
 #include "fpga/health.hpp"
 #include "obs/trace.hpp"
 #include "salus/placement.hpp"
@@ -602,29 +603,30 @@ baselineMigrationJournalWrites()
         TestbedConfig cfg;
         cfg.rngSeed = 31;
         cfg.deviceCount = 2;
-        Testbed tb(cfg);
-        Bytes fp;
-        runMigratingSession(tb, fp);
-        return int(tb.smApp().journalWrites());
+        return sweep::countJournalWrites(cfg, [](Testbed &tb) {
+            Bytes fp;
+            runMigratingSession(tb, fp);
+        });
     }();
     return n;
 }
 
 } // namespace
 
+TEST(MigrationCrashRecovery, SweepSizeIsPinned)
+{
+    // Moving a journal commit must move this number with it.
+    EXPECT_EQ(baselineMigrationJournalWrites(), 5);
+}
+
 class MigrationCrashSweep
-    : public ::testing::TestWithParam<std::tuple<int, bool>>
+    : public ::testing::TestWithParam<sweep::CrashPoint>
 {
 };
 
 TEST_P(MigrationCrashSweep, EveryJournalStepFailsClosedOrCompletes)
 {
     auto [step, afterPersist] = GetParam();
-    ASSERT_GE(baselineMigrationJournalWrites(), 4)
-        << "scenario no longer journals enough steps to sweep";
-    if (step >= baselineMigrationJournalWrites())
-        GTEST_SKIP() << "scenario only journals "
-                     << baselineMigrationJournalWrites() << " steps";
 
     TestbedConfig cfg;
     cfg.rngSeed = 31;
@@ -680,8 +682,5 @@ TEST_P(MigrationCrashSweep, EveryJournalStepFailsClosedOrCompletes)
 
 INSTANTIATE_TEST_SUITE_P(
     AllMigrationJournalSteps, MigrationCrashSweep,
-    ::testing::Combine(::testing::Range(0, 10), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<int, bool>> &info) {
-        return "step" + std::to_string(std::get<0>(info.param)) +
-               (std::get<1>(info.param) ? "_postStore" : "_preStore");
-    });
+    ::testing::ValuesIn(sweep::crashPoints(baselineMigrationJournalWrites())),
+    sweep::crashPointName);

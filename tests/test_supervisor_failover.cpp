@@ -13,7 +13,10 @@
 #include <tuple>
 
 #include "common/errors.hpp"
+#include "common/hex.hpp"
 #include "common/serde.hpp"
+#include "crash_sweep.hpp"
+#include "crypto/sha256.hpp"
 #include "fpga/health.hpp"
 #include "obs/trace.hpp"
 #include "salus/sm_logic.hpp"
@@ -206,9 +209,19 @@ TEST(FleetSerde, SmJournalRoundTripsAllFields)
     d.keySession = Bytes(48, 0x44);
     d.ctrBase = 1000;
     d.ctrReserve = 1064;
+    d.dmaSeqReserve = 4242;
     d.havePendingRekey = 1;
     d.pendingRekeyMacKey = Bytes(32, 0x55);
     d.pendingRekeyNonce = 77;
+    for (uint32_t slot : {2u, 5u}) {
+        SmJournalSession js;
+        js.slot = slot;
+        js.keySession = Bytes(48, uint8_t(0x70 + slot));
+        js.openNonce = 1000 + slot;
+        js.ctrReserve = 2000 + slot;
+        js.dmaSeqReserve = 3000 + slot;
+        d.sessions.push_back(js);
+    }
     j.devices.push_back(d);
     j.activeDevice = 1;
     j.retiredFingerprints.push_back(Bytes(32, 0x66));
@@ -224,8 +237,22 @@ TEST(FleetSerde, SmJournalRoundTripsAllFields)
     EXPECT_EQ(j2.devices[0].dna, 0xbeefull);
     EXPECT_EQ(j2.devices[0].keyAttest, d.keyAttest);
     EXPECT_EQ(j2.devices[0].keySession, d.keySession);
+    EXPECT_EQ(j2.devices[0].ctrBase, 1000u);
     EXPECT_EQ(j2.devices[0].ctrReserve, 1064u);
+    EXPECT_EQ(j2.devices[0].dmaSeqReserve, 4242u);
+    EXPECT_EQ(j2.devices[0].havePendingRekey, 1);
+    EXPECT_EQ(j2.devices[0].pendingRekeyMacKey, Bytes(32, 0x55));
     EXPECT_EQ(j2.devices[0].pendingRekeyNonce, 77u);
+    ASSERT_EQ(j2.devices[0].sessions.size(), 2u);
+    for (size_t i = 0; i < 2; ++i) {
+        const SmJournalSession &want = d.sessions[i];
+        const SmJournalSession &got = j2.devices[0].sessions[i];
+        EXPECT_EQ(got.slot, want.slot);
+        EXPECT_EQ(got.keySession, want.keySession);
+        EXPECT_EQ(got.openNonce, want.openNonce);
+        EXPECT_EQ(got.ctrReserve, want.ctrReserve);
+        EXPECT_EQ(got.dmaSeqReserve, want.dmaSeqReserve);
+    }
     EXPECT_EQ(j2.activeDevice, 1u);
     ASSERT_EQ(j2.retiredFingerprints.size(), 1u);
     EXPECT_EQ(j2.retiredFingerprints[0], Bytes(32, 0x66));
@@ -724,28 +751,72 @@ baselineJournalWrites()
     static int n = [] {
         TestbedConfig cfg;
         cfg.rngSeed = 11;
-        Testbed tb(cfg);
-        runJournaledSession(tb);
-        return int(tb.smApp().journalWrites());
+        return sweep::countJournalWrites(cfg, runJournaledSession);
+    }();
+    return n;
+}
+
+/** The tenant-slot session: deploy, add a tenant, a tenant batch
+ *  (opens slot 1), a tenant DMA write, a base re-key, a base write and
+ *  a base DMA write — so the journal carries a derived slot record
+ *  next to the device record. `peer` is set as soon as the tenant
+ *  exists, so a crash still reports how far the session got. */
+void
+runTenantJournalSession(Testbed &tb, uint32_t &peer)
+{
+    tb.installCl(loopbackAccel());
+    UserClient::Outcome out = tb.runDeployment();
+    if (!out.ok)
+        throw SalusError("deployment failed: " + out.failure);
+    peer = tb.addUserSession();
+    if (!tb.userApp(peer).attachToPlatform())
+        throw SalusError("tenant attach failed");
+    auto r = tb.userApp(peer).secureBatch(
+        {{true, 0x20, 0x7e7e}, {false, 0x20, 0}});
+    if (r.size() != 2 || r[1].data != 0x7e7e)
+        throw SalusError("tenant batch failed");
+    if (tb.smApp().dmaWrite(peer, 0x8000, Bytes(16 * 1024, 0xa5)).status !=
+        0)
+        throw SalusError("tenant dma write failed");
+    if (!tb.userApp().rekeySession())
+        throw SalusError("rekey failed");
+    if (!tb.userApp().secureWrite(0x00, 3))
+        throw SalusError("write failed");
+    if (tb.smApp().dmaWrite(0, 0x20000, Bytes(16 * 1024, 0x5a)).status !=
+        0)
+        throw SalusError("base dma write failed");
+}
+
+int
+tenantJournalWrites()
+{
+    static int n = [] {
+        TestbedConfig cfg;
+        cfg.rngSeed = 41;
+        return sweep::countJournalWrites(cfg, [](Testbed &tb) {
+            uint32_t peer = 0;
+            runTenantJournalSession(tb, peer);
+        });
     }();
     return n;
 }
 
 } // namespace
 
-class SmCrashSweep
-    : public ::testing::TestWithParam<std::tuple<int, bool>>
+TEST(SmCrashRecovery, SweepSizesArePinned)
+{
+    // Moving a journal commit must move these numbers with it.
+    EXPECT_EQ(baselineJournalWrites(), 3);
+    EXPECT_EQ(tenantJournalWrites(), 7);
+}
+
+class SmCrashSweep : public ::testing::TestWithParam<sweep::CrashPoint>
 {
 };
 
 TEST_P(SmCrashSweep, EveryJournalStepRecoversConsistently)
 {
     auto [step, afterPersist] = GetParam();
-    ASSERT_GE(baselineJournalWrites(), 3)
-        << "scenario no longer journals enough steps to sweep";
-    if (step >= baselineJournalWrites())
-        GTEST_SKIP() << "scenario only journals "
-                     << baselineJournalWrites() << " steps";
 
     TestbedConfig cfg;
     cfg.rngSeed = 11;
@@ -782,11 +853,86 @@ TEST_P(SmCrashSweep, EveryJournalStepRecoversConsistently)
 
 INSTANTIATE_TEST_SUITE_P(
     AllJournalSteps, SmCrashSweep,
-    ::testing::Combine(::testing::Range(0, 4), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<int, bool>> &info) {
-        return "step" + std::to_string(std::get<0>(info.param)) +
-               (std::get<1>(info.param) ? "_postStore" : "_preStore");
-    });
+    ::testing::ValuesIn(sweep::crashPoints(baselineJournalWrites())),
+    sweep::crashPointName);
+
+TEST(SmCrashRecovery, TenantSessionJournalIsPinned)
+{
+    TestbedConfig cfg;
+    cfg.rngSeed = 41;
+    Testbed tb(cfg);
+    uint32_t peer = 0;
+    runTenantJournalSession(tb, peer);
+    EXPECT_EQ(tb.smApp().journalWrites(), 7u);
+    // Captured from the enclave that still kept slot 0 in separate
+    // fields beside the derived slots: the per-slot table must seal
+    // byte-identical journals (device record + slot-1 record).
+    EXPECT_EQ(tb.sealedJournal().size(), 541u);
+    EXPECT_EQ(hexEncode(crypto::Sha256::digest(tb.sealedJournal())),
+              "180d4a336619d56af6e4b9faa11daa2a"
+              "cee757abe0913f68b7acbe1d6ede4cbc");
+}
+
+class TenantCrashSweep
+    : public ::testing::TestWithParam<sweep::CrashPoint>
+{
+};
+
+TEST_P(TenantCrashSweep, EveryJournalStepRestoresTheTenantSlot)
+{
+    auto [step, afterPersist] = GetParam();
+
+    TestbedConfig cfg;
+    cfg.rngSeed = 41;
+    cfg.faultPlan.add(
+        sim::FaultRule::smCrash(uint64_t(step), afterPersist));
+    Testbed tb(cfg);
+
+    uint32_t peer = 0;
+    bool crashed = false;
+    try {
+        runTenantJournalSession(tb, peer);
+    } catch (const SmCrashError &) {
+        crashed = true;
+    }
+    ASSERT_TRUE(crashed) << "armed crash at step " << step
+                         << " never fired";
+
+    SmEnclaveApp::RecoveryReport rep = tb.crashAndRecoverSmApp();
+    EXPECT_TRUE(rep.status == SmEnclaveApp::RecoveryStatus::Recovered ||
+                rep.status == SmEnclaveApp::RecoveryStatus::NoJournal)
+        << rep.detail;
+    EXPECT_FALSE(tb.smApp().failedClosed());
+    EXPECT_EQ(rep.reattestFailures, 0u);
+
+    // A crash before the attested deployment was journalled leaves
+    // nothing to resume: redeploy. Otherwise the tenant is served
+    // straight from the recovered table, so a slot the journal
+    // restored must hold the keys and counters the fabric holds.
+    if (!tb.smApp().bootStatus().ok()) {
+        UserClient::Outcome out = tb.runDeployment();
+        ASSERT_TRUE(out.ok) << out.failure;
+    }
+    if (peer == 0)
+        peer = tb.addUserSession();
+    ASSERT_TRUE(tb.userApp(peer).attachToPlatform());
+    auto r = tb.userApp(peer).secureBatch(
+        {{true, 0x28, 0x5151}, {false, 0x28, 0}});
+    ASSERT_EQ(r.size(), 2u);
+    EXPECT_EQ(r[0].status, 0);
+    EXPECT_EQ(r[1].data, 0x5151u);
+    Bytes data(8 * 1024, 0x3c);
+    ASSERT_EQ(tb.smApp().dmaWrite(peer, 0x30000, data).status, 0);
+    Bytes back;
+    ASSERT_EQ(tb.smApp().dmaRead(peer, 0x30000, data.size(), back).status,
+              0);
+    EXPECT_EQ(back, data);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTenantJournalSteps, TenantCrashSweep,
+    ::testing::ValuesIn(sweep::crashPoints(tenantJournalWrites())),
+    sweep::crashPointName);
 
 TEST(SmCrashRecovery, RecoveredInstanceSkipsManufacturerRoundTrip)
 {
