@@ -1,16 +1,15 @@
 /**
  * @file
- * Live-migration bench + invariant soak: planned session moves across
- * fleets of 2/4/8 devices, many seeds each, measuring on the virtual
- * clock the quiesce-to-first-write migration latency (p99 across the
- * sweep is the CI gate) and the fleet's batched secure-channel
- * throughput right after the move (parked ops must flow again).
+ * Live-migration bench + invariant check: one planned session move in
+ * each of a 2-, 4- and 8-device pool, measuring on the virtual clock
+ * the quiesce-to-first-write migration latency (p99 across the pools
+ * is the CI gate) and the session's batched secure-channel throughput
+ * right after the move (parked ops must flow again).
  *
- * The bench doubles as a CI soak gate: every seed runs TWICE and must
- * be bit-for-bit identical, every migration must land attested on the
- * target with the source epoch tombstoned (zero key reuse), and the
- * parked queue must complete on the target. Any violation exits
- * non-zero.
+ * Every move runs TWICE with the same seed and must be bit-for-bit
+ * identical, must land attested on the target with the source epoch
+ * tombstoned (zero key reuse), and must complete the parked queue on
+ * the target. Any violation exits non-zero.
  *
  * Results are published as hand-rolled JSON (BENCH_migration.json, or
  * argv[1]) for the CI artifact.
@@ -157,64 +156,38 @@ percentile(std::vector<double> values, double p)
 int
 main(int argc, char **argv)
 {
-    bench::banner("Live migration: latency p99 + fleet throughput");
+    bench::banner("Live migration: latency p99 + post-move throughput");
     fpga::ensureBuiltinIps();
     SmLogic::registerIp();
 
     const uint32_t kDeviceCounts[] = {2, 4, 8};
-    const int kSeeds = 12;
     const uint64_t kSeedBase = 6100;
 
     std::vector<RunResult> runs;
-    std::vector<double> latenciesMs; ///< across ALL device counts
-    struct FleetRow
-    {
-        uint32_t devices;
-        double meanMs;
-        double p99Ms;
-        double opsPerSec;
-        size_t succeeded;
-    };
-    std::vector<FleetRow> rows;
-
+    std::vector<double> latenciesMs;
+    double minOps = 0;
+    std::printf("%-8s %-8s %-12s %-12s %-14s %s\n", "devices", "seed",
+                "migrate", "to-write", "ops/s", "target");
     for (uint32_t devices : kDeviceCounts) {
-        std::vector<double> fleetMs;
-        double opsSum = 0;
-        size_t succeeded = 0;
-        std::printf("\n-- %u devices --\n", devices);
-        std::printf("%-8s %-12s %-12s %-14s %s\n", "seed",
-                    "migrate", "to-write", "ops/s", "target");
-        for (int i = 0; i < kSeeds; ++i) {
-            uint64_t seed = kSeedBase + uint64_t(devices) * 100 +
-                            uint64_t(i);
-            RunResult a = runOnce(seed, devices);
-            RunResult b = runOnce(seed, devices);
-            check(a.ok, seed, "migration invariants violated");
-            check(a.startAt == b.startAt &&
-                      a.migratedAt == b.migratedAt &&
-                      a.firstWriteAt == b.firstWriteAt &&
-                      a.newFp == b.newFp && a.toDevice == b.toDevice,
-                  seed, "same-seed runs are not bit-for-bit identical");
-            if (!a.ok)
-                continue;
-            double mig = bench::ms(a.firstWriteAt - a.startAt);
-            std::printf("%-8llu %-12.2f %-12.2f %-14.0f %u\n",
-                        (unsigned long long)seed,
-                        bench::ms(a.migratedAt - a.startAt), mig,
-                        a.opsPerSec, a.toDevice);
-            fleetMs.push_back(mig);
-            latenciesMs.push_back(mig);
-            opsSum += a.opsPerSec;
-            ++succeeded;
-            runs.push_back(a);
-        }
-        double meanMs = 0;
-        for (double v : fleetMs)
-            meanMs += v;
-        meanMs = fleetMs.empty() ? 0 : meanMs / double(fleetMs.size());
-        rows.push_back({devices, meanMs, percentile(fleetMs, 0.99),
-                        succeeded ? opsSum / double(succeeded) : 0,
-                        succeeded});
+        uint64_t seed = kSeedBase + uint64_t(devices) * 100;
+        RunResult a = runOnce(seed, devices);
+        RunResult b = runOnce(seed, devices);
+        check(a.ok, seed, "migration invariants violated");
+        check(a.startAt == b.startAt && a.migratedAt == b.migratedAt &&
+                  a.firstWriteAt == b.firstWriteAt &&
+                  a.newFp == b.newFp && a.toDevice == b.toDevice,
+              seed, "same-seed runs are not bit-for-bit identical");
+        if (!a.ok)
+            continue;
+        double mig = bench::ms(a.firstWriteAt - a.startAt);
+        std::printf("%-8u %-8llu %-12.2f %-12.2f %-14.0f %u\n", devices,
+                    (unsigned long long)seed,
+                    bench::ms(a.migratedAt - a.startAt), mig,
+                    a.opsPerSec, a.toDevice);
+        latenciesMs.push_back(mig);
+        minOps = runs.empty() ? a.opsPerSec
+                              : std::min(minOps, a.opsPerSec);
+        runs.push_back(a);
     }
 
     if (runs.empty()) {
@@ -223,13 +196,9 @@ main(int argc, char **argv)
     }
 
     double p99 = percentile(latenciesMs, 0.99);
-    double meanOps = 0;
-    for (const FleetRow &row : rows)
-        meanOps += row.opsPerSec;
-    meanOps /= double(rows.size());
-    std::printf("\nmigration p99 %.2f ms across %zu runs; mean fleet "
-                "throughput %.0f ops/s\n",
-                p99, latenciesMs.size(), meanOps);
+    std::printf("\nmigration p99 %.2f ms across %zu pools; lowest "
+                "post-migration throughput %.0f ops/s\n",
+                p99, runs.size(), minOps);
 
     // ---- JSON artifact ----------------------------------------------
     const char *outPath =
@@ -240,20 +209,21 @@ main(int argc, char **argv)
         return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"migration\",\n");
-    std::fprintf(f, "  \"seeds_per_fleet\": %d,\n", kSeeds);
+    std::fprintf(f, "  \"seeds_per_fleet\": 1,\n");
     std::fprintf(f, "  \"succeeded\": %zu,\n", runs.size());
     std::fprintf(f, "  \"violations\": %d,\n  \"unit\": \"ms\",\n",
                  violations);
     std::fprintf(f, "  \"migration_ms_p99\": %.3f,\n", p99);
     std::fprintf(f, "  \"fleets\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const FleetRow &row = rows[i];
+    for (size_t i = 0; i < runs.size(); ++i) {
+        const RunResult &r = runs[i];
+        double mig = latenciesMs[i];
         std::fprintf(f,
                      "    {\"devices\": %u, \"migration_ms_mean\": "
                      "%.3f, \"migration_ms_p99\": %.3f, "
-                     "\"ops_per_sec\": %.0f, \"succeeded\": %zu}%s\n",
-                     row.devices, row.meanMs, row.p99Ms, row.opsPerSec,
-                     row.succeeded, i + 1 < rows.size() ? "," : "");
+                     "\"ops_per_sec\": %.0f, \"succeeded\": 1}%s\n",
+                     r.devices, mig, mig, r.opsPerSec,
+                     i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"gates\": {\n");
     std::fprintf(f,
@@ -261,17 +231,16 @@ main(int argc, char **argv)
                  "\"direction\": \"lower\"},\n",
                  p99);
     std::fprintf(f,
-                 "    \"fleet_ops_per_sec_mean\": {\"value\": %.0f, "
+                 "    \"post_migration_ops_per_sec\": {\"value\": %.0f, "
                  "\"direction\": \"higher\"}\n",
-                 meanOps);
+                 minOps);
     std::fprintf(f, "  }\n}\n");
     std::fclose(f);
     std::printf("wrote %s\n", outPath);
 
-    size_t expected = size_t(kSeeds) *
-                      (sizeof(kDeviceCounts) / sizeof(kDeviceCounts[0]));
+    size_t expected = sizeof(kDeviceCounts) / sizeof(kDeviceCounts[0]);
     if (violations || runs.size() != expected) {
-        std::printf("MIGRATION SOAK FAILED: %d violation(s), %zu/%zu "
+        std::printf("MIGRATION CHECK FAILED: %d violation(s), %zu/%zu "
                     "runs succeeded\n",
                     violations, runs.size(), expected);
         return 1;

@@ -7,9 +7,7 @@
 
 #include "fpga/ip.hpp"
 #include "obs/trace.hpp"
-#include "salus/actors.hpp"
 #include "salus/dma_channel.hpp"
-#include "sim/engine.hpp"
 
 namespace salus::core {
 
@@ -511,35 +509,25 @@ parseScenarioFile(const std::string &path)
 namespace {
 
 /**
- * One campaign's sweep loop as an engine actor. Each kSweep event runs
- * actions + submissions inline, then posts the broker pump, the
- * supervisor poll (when due) and the next sweep AT THE SAME INSTANT:
- * FIFO tie-breaking dispatches them in post order, so the call order
- * per sweep is actions -> submissions -> pump -> poll (when due).
- * Drain + harvest run after the engine goes idle.
+ * One campaign's run state: tenant layout, the per-sweep steps and
+ * the post-run harvest. runSweeps() calls the steps in a fixed order
+ * per sweep: actions -> submissions -> pump -> poll (when due).
  */
-struct ScenarioExec final : sim::Actor
+struct ScenarioExec
 {
-    static constexpr uint32_t kSweep = 1;
-
     const Scenario &sc;
     Testbed &tb;
     Broker &broker;
     ScenarioOutcome &out;
     std::vector<uint32_t> tenantIds;
     std::vector<std::vector<uint32_t>> tenantSessions;
-    uint32_t actorId = 0;
-    SchedulerPumpActor pumpActor{[this] { return pump(); }};
-    SupervisorPollActor pollActor{tb.supervisor(),
-                                  [this] { ++out.failovers; }};
+    /** Polls whose failover threw (they leave no FailoverRecord). */
+    uint64_t pollErrors = 0;
 
     ScenarioExec(const Scenario &scenario, Testbed &testbed,
                  Broker &brk, ScenarioOutcome &outcome)
         : sc(scenario), tb(testbed), broker(brk), out(outcome)
     {}
-    // The engine and the pump/poll callbacks hold this address.
-    ScenarioExec(const ScenarioExec &) = delete;
-    ScenarioExec &operator=(const ScenarioExec &) = delete;
 
     /** Tenants + sessions, in file order (determinism: ids are dense
      *  and the sweep loop walks this fixed layout). */
@@ -635,15 +623,12 @@ struct ScenarioExec final : sim::Actor
         }
     }
 
-    size_t pump()
+    void pump()
     {
         try {
-            size_t done = broker.pump();
-            out.completed += done;
-            return done;
+            out.completed += broker.pump();
         } catch (const FailoverError &) {
-            ++out.failovers;
-            return 0;
+            // The supervisor recorded the failover; harvest counts it.
         }
     }
 
@@ -660,7 +645,7 @@ struct ScenarioExec final : sim::Actor
                 out.completed += broker.drainAll();
                 break;
             } catch (const FailoverError &) {
-                ++out.failovers;
+                // Recorded by the supervisor; retry on the new device.
             }
         }
     }
@@ -698,6 +683,10 @@ struct ScenarioExec final : sim::Actor
         out.shedLevelEnd = broker.shedLevel();
         out.seusInjected = tb.faultInjector().stats().seusInjected;
         out.clockEnd = tb.clock().now();
+        // Every completed failover leaves a record, whether a poll or
+        // a guarded op triggered it; a poll whose failover threw
+        // leaves none, so those are added on top.
+        out.failovers = tb.supervisor().failovers().size() + pollErrors;
 
         const ScenarioExpect &e = sc.expect;
         auto atLeast = [&](const char *what, uint64_t got,
@@ -724,35 +713,21 @@ struct ScenarioExec final : sim::Actor
                 ", expected <= " + std::to_string(e.failoversMax));
     }
 
-    void onEvent(sim::Engine &engine, const sim::Event &event) override
-    {
-        if (event.kind != kSweep)
-            return;
-        uint32_t sweep = uint32_t(event.a);
-        actions(sweep);
-        submissions(sweep);
-        engine.postNow(pumpActor.actorId(), SchedulerPumpActor::kSweep);
-        if (pollDue(sweep))
-            engine.postNow(pollActor.actorId(),
-                           SupervisorPollActor::kPoll);
-        if (sweep + 1 < sc.sweeps)
-            engine.postNow(actorId, kSweep, sweep + 1);
-    }
-
-    /** Runs every sweep on the testbed's engine. */
     void runSweeps()
     {
-        sim::Engine &engine = tb.engine();
-        pumpActor.attach(engine, "broker.pump");
-        pollActor.attach(engine, "supervisor.poll");
-        actorId = engine.addActor(*this, "scenario.sweeps");
-
-        if (sc.sweeps > 0)
-            engine.postNow(actorId, kSweep, 0);
-        // Each sweep event posts at most 3 others; the budget is a
-        // runaway backstop, not a schedule.
-        if (!engine.runUntilIdle(uint64_t(sc.sweeps) * 4 + 16))
-            out.violations.push_back("engine: event budget exhausted");
+        for (uint32_t sweep = 0; sweep < sc.sweeps; ++sweep) {
+            actions(sweep);
+            submissions(sweep);
+            pump();
+            if (!pollDue(sweep))
+                continue;
+            try {
+                tb.supervisor().pollOnce();
+            } catch (const SalusError &) {
+                // A failed failover surfaces here; keep serving.
+                ++pollErrors;
+            }
+        }
     }
 };
 

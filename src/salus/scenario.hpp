@@ -118,7 +118,9 @@ struct ScenarioExpect
     /** Enforce the DRR starvation bound on every session (default
      *  ON — a scenario must opt out, never silently skip it). */
     bool noStarvation = true;
-    /** Upper bound on failover events; ~0 = unchecked. */
+    /** Upper bound on failovers: every FailoverRecord the supervisor
+     *  kept (poll- or guarded-op-triggered) plus every poll whose
+     *  failover threw; ~0 = unchecked. */
     uint64_t failoversMax = ~uint64_t(0);
     /** Payload bytes the DMA plane must have delivered (status 0). */
     uint64_t dmaBytesMin = 0;
@@ -177,9 +179,9 @@ Scenario parseScenario(const std::string &text);
 /** Loads + parses a campaign file. @throws ScenarioError. */
 Scenario parseScenarioFile(const std::string &path);
 
-/** Runs one campaign end to end (deploy, sweep loop dispatched on
- *  the testbed's sim::Engine, drain, invariant evaluation).
- *  Deterministic per (file, seed). */
+/** Runs one campaign end to end (deploy, one loop iteration per
+ *  sweep, drain, invariant evaluation). Deterministic per
+ *  (file, seed). */
 ScenarioOutcome runScenario(const Scenario &scenario);
 
 } // namespace salus::core

@@ -48,7 +48,7 @@
 #include "net/network.hpp"
 #include "salus/dma_channel.hpp"
 #include "salus/messages.hpp"
-#include "salus/placement.hpp"
+#include "salus/migration.hpp"
 #include "salus/reg_channel.hpp"
 #include "salus/secrets.hpp"
 #include "salus/sim_hooks.hpp"

@@ -334,73 +334,35 @@ FleetSupervisor::migrateActiveTo(uint32_t to, const std::string &reason)
     return migrations_.back();
 }
 
-size_t
-FleetSupervisor::drainForUpgrade(uint32_t device, Placement &placement,
+bool
+FleetSupervisor::drainForUpgrade(uint32_t device,
                                  const std::string &reason)
 {
-    if (device >= trackers_.size() ||
-        device >= placement.deviceCount())
+    if (device >= trackers_.size())
         throw MigrationError("no such device " +
                              std::to_string(device));
 
-    // Capacity check FIRST: with the device out of the pool, at least
-    // one eligible target must remain or nothing is touched.
-    placement.setEligible(device, false);
-    bool haveCapacity = false;
-    for (uint32_t d = 0; d < placement.deviceCount(); ++d) {
-        if (placement.eligible(d)) {
-            haveCapacity = true;
-            break;
-        }
-    }
-    if (!haveCapacity) {
-        placement.setEligible(device, true);
-        throw MigrationError(
-            "no fleet capacity to drain device " +
-            std::to_string(device) + "; sessions stay on it");
-    }
+    // Target check FIRST: at least one other in-service device must
+    // remain, or nothing is touched.
+    std::optional<uint32_t> target;
+    for (uint32_t d = 0; d < trackers_.size() && !target; ++d)
+        if (d != device &&
+            trackers_[d].state() != fpga::HealthState::Quarantined)
+            target = d;
+    if (!target)
+        throw MigrationError("no device left to take over from device " +
+                             std::to_string(device) +
+                             "; it stays in service");
 
     obs::Span span(obs::Category::Supervisor, "upgrade_drain",
                    uint64_t(device));
     obs::count("supervisor.upgrade_drains");
 
-    // The real active session moves first (the expensive, fallible
-    // part). Any failure restores eligibility and rethrows with the
-    // session still serving on the source.
-    if (deps_.activeDevice && deps_.activeDevice() == device) {
-        uint32_t target = device;
-        uint32_t bestLoad = 0;
-        bool haveTarget = false;
-        for (uint32_t d = 0; d < placement.deviceCount(); ++d) {
-            if (!placement.eligible(d) || d >= trackers_.size())
-                continue;
-            if (trackers_[d].state() ==
-                fpga::HealthState::Quarantined)
-                continue;
-            if (!haveTarget || placement.load(d) < bestLoad) {
-                target = d;
-                bestLoad = placement.load(d);
-                haveTarget = true;
-            }
-        }
-        try {
-            if (!haveTarget)
-                throw MigrationError(
-                    "no healthy eligible target to take the active "
-                    "session");
-            migrateActiveTo(target, reason);
-        } catch (...) {
-            placement.setEligible(device, true);
-            throw;
-        }
-    }
-
-    // Logical sessions re-place over the remaining eligible devices.
-    size_t moved = 0;
-    for (uint64_t sessionId : placement.sessionsOn(device)) {
-        placement.migrate(sessionId);
-        ++moved;
-    }
+    // The active session moves first (the expensive, fallible part);
+    // a failure rethrows with the session still serving on the source.
+    bool moved = deps_.activeDevice && deps_.activeDevice() == device;
+    if (moved)
+        migrateActiveTo(*target, reason);
 
     // Hold the device out of service until the operator finishes the
     // upgrade; tick() will not offer probation during maintenance.
@@ -410,14 +372,12 @@ FleetSupervisor::drainForUpgrade(uint32_t device, Placement &placement,
 }
 
 void
-FleetSupervisor::completeUpgrade(uint32_t device, Placement &placement)
+FleetSupervisor::completeUpgrade(uint32_t device)
 {
     if (device >= trackers_.size())
         return;
     sim::Nanos now = deps_.clock ? deps_.clock->now() : 0;
     trackers_[device].endMaintenance(now);
-    if (device < placement.deviceCount())
-        placement.setEligible(device, true);
 }
 
 } // namespace salus::core

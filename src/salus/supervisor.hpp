@@ -31,7 +31,7 @@
 
 #include "common/errors.hpp"
 #include "fpga/health.hpp"
-#include "salus/placement.hpp"
+#include "salus/migration.hpp"
 #include "salus/sm_enclave.hpp"
 #include "sim/clock.hpp"
 #include "sim/fault.hpp"
@@ -159,23 +159,21 @@ class FleetSupervisor
                                     const std::string &reason);
 
     /**
-     * Rolling-upgrade drain of one device: marks it ineligible for
-     * placement, live-migrates the real active session away when it
-     * is serving there, re-places every logical session assigned to
-     * it, then holds it in maintenance quarantine until
-     * completeUpgrade(). Degrades gracefully: when the fleet has no
-     * remaining capacity (or the live migration fails) eligibility is
-     * restored, a MigrationError propagates, and every session keeps
-     * serving where it was.
-     * @return logical sessions re-placed off the device.
+     * Rolling-upgrade drain of one device: when the active session is
+     * serving there, live-migrates it to the lowest-id other device
+     * that is not quarantined (maintenance counts as quarantined),
+     * then holds the drained device in maintenance quarantine until
+     * completeUpgrade(). Degrades gracefully: when no such target
+     * exists a MigrationError is thrown before anything is touched,
+     * and a failed migration propagates its MigrationError with the
+     * device still in service and the session still serving on it.
+     * @return true when the active session moved.
      */
-    size_t drainForUpgrade(uint32_t device, Placement &placement,
-                           const std::string &reason);
+    bool drainForUpgrade(uint32_t device, const std::string &reason);
 
     /** Ends a drained device's maintenance window: the device goes to
-     *  PROBATION (earning reinstatement with clean probes) and
-     *  becomes placement-eligible again. */
-    void completeUpgrade(uint32_t device, Placement &placement);
+     *  PROBATION (earning reinstatement with clean probes). */
+    void completeUpgrade(uint32_t device);
 
     /**
      * Forgets the expected-monotone heartbeat floor for a device.

@@ -258,14 +258,6 @@ Testbed::addUser(uint32_t peer)
         transport, simHooks()));
 }
 
-sim::Engine &
-Testbed::engine()
-{
-    if (!engine_)
-        engine_ = std::make_unique<sim::Engine>(clock_);
-    return *engine_;
-}
-
 BatchScheduler &
 Testbed::scheduler()
 {

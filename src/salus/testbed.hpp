@@ -27,7 +27,6 @@
 #include "salus/user_client.hpp"
 #include "salus/user_enclave.hpp"
 #include "shell/attacks.hpp"
-#include "sim/engine.hpp"
 
 namespace salus::core {
 
@@ -162,14 +161,6 @@ class Testbed
     BatchScheduler &scheduler();
     crypto::RandomSource &rng() { return *rng_; }
 
-    /**
-     * The deterministic event engine over this testbed's clock,
-     * lazily built (FIFO among same-instant, same-priority events, so
-     * a run replays its post order exactly). Event-driven drivers
-     * register their actors here.
-     */
-    sim::Engine &engine();
-
     /** The published CL artifacts (mutable so tests can tamper). */
     Bytes &storedBitstream() { return storedBitstream_; }
     ClMetadata &metadata() { return metadata_; }
@@ -253,7 +244,6 @@ class Testbed
     std::vector<std::unique_ptr<UserEnclaveApp>> users_;
     std::unique_ptr<BatchScheduler> scheduler_;
     std::unique_ptr<FleetSupervisor> supervisor_;
-    std::unique_ptr<sim::Engine> engine_;
 
     Bytes storedBitstream_;
     ClMetadata metadata_;

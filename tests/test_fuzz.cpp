@@ -763,16 +763,6 @@ salus_fuzz_migration_ticket(const uint8_t *data, size_t size)
 }
 
 extern "C" int
-salus_fuzz_placement_state(const uint8_t *data, size_t size)
-{
-    try {
-        (void)core::Placement::deserializeState(ByteView(data, size));
-    } catch (const SalusError &) {
-    }
-    return 0;
-}
-
-extern "C" int
 salus_fuzz_broker_request(const uint8_t *data, size_t size)
 {
     try {

@@ -1,26 +1,21 @@
 /**
  * @file
- * Fleet placement and live-migration tests: the power-of-two-choices
- * placement (determinism, balance, eligibility, fuzz-hardened state
- * serde), the SM enclave's MAC'd migration ticket (tamper and replay
- * rejection), the end-to-end live move with the scheduler parked,
- * rolling-upgrade drain with graceful no-capacity degradation, the
+ * Live-migration tests: the SM enclave's MAC'd migration ticket
+ * (fuzz-hardened serde, tamper and replay rejection), the end-to-end
+ * live move with the scheduler parked, rolling-upgrade drain (target
+ * rule, idle-device drain, graceful no-target degradation), the
  * same-seed byte-identical trace contract, and a crash-injection
  * sweep over every journal write of a migrating session.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
-#include <tuple>
-
 #include "common/errors.hpp"
 #include "common/serde.hpp"
 #include "crash_sweep.hpp"
 #include "fpga/health.hpp"
 #include "obs/trace.hpp"
-#include "salus/placement.hpp"
+#include "salus/migration.hpp"
 #include "salus/sm_logic.hpp"
 #include "salus/supervisor.hpp"
 #include "salus/testbed.hpp"
@@ -56,139 +51,6 @@ fastHealth()
 
 } // namespace
 
-// ---- Placement unit behaviour ---------------------------------------
-
-TEST(Placement, SameSeedPlacesIdentically)
-{
-    Placement a(8, 42);
-    Placement b(8, 42);
-    for (uint64_t s = 0; s < 100; ++s)
-        EXPECT_EQ(a.place(s), b.place(s)) << "session " << s;
-    EXPECT_EQ(a.sessionCount(), 100u);
-
-    // A different seed shards differently somewhere.
-    Placement c(8, 43);
-    bool differs = false;
-    for (uint64_t s = 0; s < 100; ++s)
-        differs |= c.place(s) != a.deviceOf(s);
-    EXPECT_TRUE(differs);
-}
-
-TEST(Placement, PowerOfTwoChoicesKeepsTheFleetBalanced)
-{
-    Placement p(4, 7);
-    for (uint64_t s = 0; s < 400; ++s)
-        p.place(s);
-
-    uint32_t total = 0, lo = 400, hi = 0;
-    for (uint32_t d = 0; d < 4; ++d) {
-        total += p.load(d);
-        lo = std::min(lo, p.load(d));
-        hi = std::max(hi, p.load(d));
-    }
-    EXPECT_EQ(total, 400u);
-    // Two choices with exact load counts keeps the spread tiny
-    // (theory says O(log log n); give it generous slack).
-    EXPECT_LE(hi - lo, 10u);
-}
-
-TEST(Placement, IneligibleDevicesTakeNoNewSessions)
-{
-    Placement p(3, 1);
-    p.setEligible(0, false);
-    for (uint64_t s = 0; s < 30; ++s)
-        EXPECT_NE(p.place(s), 0u);
-    EXPECT_EQ(p.load(0), 0u);
-
-    // Draining: migrate() always moves sessions off an ineligible
-    // device, spreading them over what remains.
-    p.setEligible(0, true);
-    p.setEligible(1, false);
-    for (uint64_t s : p.sessionsOn(1))
-        EXPECT_NE(p.migrate(s), 1u);
-    EXPECT_TRUE(p.sessionsOn(1).empty());
-    EXPECT_EQ(p.load(1), 0u);
-    EXPECT_EQ(p.sessionCount(), 30u);
-
-    // With nothing eligible, placement degrades to a typed error.
-    p.setEligible(0, false);
-    p.setEligible(2, false);
-    EXPECT_THROW(p.place(999), MigrationError);
-    EXPECT_THROW(p.pickTarget(999), MigrationError);
-}
-
-TEST(Placement, ReleaseAndPickTargetAccounting)
-{
-    Placement p(2, 5);
-    uint32_t d = p.place(1);
-    EXPECT_TRUE(p.placed(1));
-    EXPECT_EQ(p.deviceOf(1), d);
-    EXPECT_EQ(p.load(d), 1u);
-
-    // pickTarget never mutates.
-    uint32_t t = p.pickTarget(2);
-    EXPECT_LT(t, 2u);
-    EXPECT_EQ(p.sessionCount(), 1u);
-
-    p.release(1);
-    p.release(1); // idempotent
-    EXPECT_FALSE(p.placed(1));
-    EXPECT_EQ(p.load(d), 0u);
-    EXPECT_THROW(p.deviceOf(1), SalusError);
-    EXPECT_THROW(p.migrate(1), MigrationError);
-}
-
-TEST(Placement, StateSerdeRoundTripsAndRejectsGarbage)
-{
-    Placement p(5, 99);
-    p.setEligible(3, false);
-    for (uint64_t s = 10; s < 30; ++s)
-        p.place(s);
-
-    Placement q = Placement::deserializeState(p.serializeState());
-    EXPECT_EQ(q.deviceCount(), 5u);
-    EXPECT_EQ(q.sessionCount(), 20u);
-    EXPECT_FALSE(q.eligible(3));
-    for (uint64_t s = 10; s < 30; ++s)
-        EXPECT_EQ(q.deviceOf(s), p.deviceOf(s));
-    for (uint32_t d = 0; d < 5; ++d)
-        EXPECT_EQ(q.load(d), p.load(d));
-    // The adopted state keeps placing the same way.
-    EXPECT_EQ(q.place(1000), p.place(1000));
-
-    Bytes good = p.serializeState();
-    Bytes badMagic = good;
-    badMagic[0] ^= 0xff;
-    EXPECT_THROW(Placement::deserializeState(badMagic), SerdeError);
-    Bytes cut(good.begin(), good.begin() + 9);
-    EXPECT_THROW(Placement::deserializeState(cut), SerdeError);
-
-    // Out-of-pool assignments and duplicate sessions are refused.
-    BinaryWriter w;
-    w.writeU32(0x53504c43);
-    w.writeU32(2);
-    w.writeU64(0);
-    w.writeU8(1);
-    w.writeU8(1);
-    w.writeU32(1);
-    w.writeU64(77);
-    w.writeU32(9); // device 9 of 2
-    EXPECT_THROW(Placement::deserializeState(w.take()), SerdeError);
-
-    BinaryWriter w2;
-    w2.writeU32(0x53504c43);
-    w2.writeU32(2);
-    w2.writeU64(0);
-    w2.writeU8(1);
-    w2.writeU8(1);
-    w2.writeU32(2);
-    w2.writeU64(77);
-    w2.writeU32(0);
-    w2.writeU64(77); // duplicate session
-    w2.writeU32(1);
-    EXPECT_THROW(Placement::deserializeState(w2.take()), SerdeError);
-}
-
 // ---- Migration message serde ----------------------------------------
 
 TEST(MigrationSerde, TicketRoundTripsAndRejectsGarbage)
@@ -219,7 +81,7 @@ TEST(MigrationSerde, TicketRoundTripsAndRejectsGarbage)
     EXPECT_THROW(MigrationTicket::deserialize(cut), SerdeError);
 
     MigrationTicket absurd = t;
-    absurd.toDevice = Placement::kMaxDevices;
+    absurd.toDevice = MigrationTicket::kMaxDevices;
     EXPECT_THROW(MigrationTicket::deserialize(absurd.serialize()),
                  SerdeError);
     MigrationTicket shortFp = t;
@@ -418,21 +280,11 @@ TEST(RollingUpgrade, DrainMovesEverythingAndMaintenanceHolds)
     tb.installCl(loopbackAccel());
     ASSERT_TRUE(tb.runDeployment().ok);
 
-    Placement placement(3, cfg.rngSeed);
-    for (uint64_t s = 1; s <= 12; ++s)
-        placement.place(s);
-    uint32_t wasOnZero = placement.load(0);
-
-    size_t moved =
-        tb.supervisor().drainForUpgrade(0, placement, "shell update");
-    EXPECT_EQ(moved, wasOnZero);
-    EXPECT_TRUE(placement.sessionsOn(0).empty());
-    EXPECT_FALSE(placement.eligible(0));
-    EXPECT_EQ(placement.sessionCount(), 12u);
-
-    // The REAL session (it was serving on device 0) live-migrated.
+    // The session was serving on device 0, so it live-migrates to
+    // the lowest-id device still in service.
+    EXPECT_TRUE(tb.supervisor().drainForUpgrade(0, "shell update"));
     ASSERT_EQ(tb.supervisor().migrations().size(), 1u);
-    EXPECT_NE(tb.smApp().activeDevice(), 0u);
+    EXPECT_EQ(tb.smApp().activeDevice(), 1u);
     EXPECT_EQ(tb.supervisor().migrations()[0].attested, 1);
 
     // Maintenance quarantine holds across the watchdog: no probation
@@ -444,10 +296,8 @@ TEST(RollingUpgrade, DrainMovesEverythingAndMaintenanceHolds)
     EXPECT_EQ(tb.supervisor().state(0),
               fpga::HealthState::Quarantined);
 
-    // Upgrade done: the device earns its way back through probation
-    // and takes new placements again.
-    tb.supervisor().completeUpgrade(0, placement);
-    EXPECT_TRUE(placement.eligible(0));
+    // Upgrade done: the device earns its way back through probation.
+    tb.supervisor().completeUpgrade(0);
     EXPECT_EQ(tb.supervisor().state(0), fpga::HealthState::Probation);
     // Each poll spends network RTT virtual time well past the
     // heartbeat period, so count polls instead of wall time: two
@@ -461,6 +311,49 @@ TEST(RollingUpgrade, DrainMovesEverythingAndMaintenanceHolds)
     EXPECT_EQ(tb.userApp().secureRead(0x00), 9u);
 }
 
+TEST(RollingUpgrade, DrainSkipsDevicesInMaintenance)
+{
+    TestbedConfig cfg;
+    cfg.rngSeed = 29;
+    cfg.deviceCount = 3;
+    cfg.health = fastHealth();
+    Testbed tb(cfg);
+    tb.installCl(loopbackAccel());
+    ASSERT_TRUE(tb.runDeployment().ok);
+
+    ASSERT_FALSE(tb.supervisor().drainForUpgrade(1, "reflash 1"));
+    ASSERT_TRUE(tb.supervisor().tracker(1).inMaintenance());
+
+    EXPECT_TRUE(tb.supervisor().drainForUpgrade(0, "reflash 0"));
+    ASSERT_EQ(tb.supervisor().migrations().size(), 1u);
+    EXPECT_EQ(tb.supervisor().migrations()[0].toDevice, 2u);
+    EXPECT_EQ(tb.smApp().activeDevice(), 2u);
+    EXPECT_TRUE(tb.userApp().secureWrite(0x00, 4));
+    EXPECT_EQ(tb.userApp().secureRead(0x00), 4u);
+}
+
+TEST(RollingUpgrade, IdleDeviceDrainMovesNothing)
+{
+    TestbedConfig cfg;
+    cfg.rngSeed = 30;
+    cfg.deviceCount = 3;
+    cfg.health = fastHealth();
+    Testbed tb(cfg);
+    tb.installCl(loopbackAccel());
+    ASSERT_TRUE(tb.runDeployment().ok);
+    Bytes fp = tb.smApp().secretsFingerprint();
+
+    EXPECT_FALSE(tb.supervisor().drainForUpgrade(2, "reflash 2"));
+    EXPECT_TRUE(tb.supervisor().migrations().empty());
+    EXPECT_TRUE(tb.supervisor().tracker(2).inMaintenance());
+    EXPECT_EQ(tb.supervisor().state(2),
+              fpga::HealthState::Quarantined);
+    EXPECT_EQ(tb.smApp().activeDevice(), 0u);
+    EXPECT_EQ(tb.smApp().secretsFingerprint(), fp);
+    EXPECT_TRUE(tb.userApp().secureWrite(0x00, 6));
+    EXPECT_EQ(tb.userApp().secureRead(0x00), 6u);
+}
+
 TEST(RollingUpgrade, NoCapacityDegradesGracefully)
 {
     TestbedConfig cfg;
@@ -470,20 +363,40 @@ TEST(RollingUpgrade, NoCapacityDegradesGracefully)
     tb.installCl(loopbackAccel());
     ASSERT_TRUE(tb.runDeployment().ok);
 
-    Placement placement(1, cfg.rngSeed);
-    placement.place(1);
-
-    // Draining the only device must refuse up front: eligibility is
-    // restored, nothing migrated, the session keeps serving.
-    EXPECT_THROW(
-        tb.supervisor().drainForUpgrade(0, placement, "no room"),
-        MigrationError);
-    EXPECT_TRUE(placement.eligible(0));
-    EXPECT_EQ(placement.deviceOf(1), 0u);
+    // Draining the only device must refuse up front: nothing
+    // migrated, no maintenance, the session keeps serving.
+    EXPECT_THROW(tb.supervisor().drainForUpgrade(0, "no room"),
+                 MigrationError);
     EXPECT_TRUE(tb.supervisor().migrations().empty());
+    EXPECT_FALSE(tb.supervisor().tracker(0).inMaintenance());
     EXPECT_EQ(tb.supervisor().state(0), fpga::HealthState::Healthy);
     EXPECT_TRUE(tb.userApp().secureWrite(0x00, 3));
     EXPECT_EQ(tb.userApp().secureRead(0x00), 3u);
+}
+
+TEST(RollingUpgrade, EveryOtherDeviceQuarantinedRefusesUntouched)
+{
+    TestbedConfig cfg;
+    cfg.rngSeed = 31;
+    cfg.deviceCount = 3;
+    cfg.health = fastHealth();
+    Testbed tb(cfg);
+    tb.installCl(loopbackAccel());
+    ASSERT_TRUE(tb.runDeployment().ok);
+    Bytes fp = tb.smApp().secretsFingerprint();
+
+    ASSERT_FALSE(tb.supervisor().drainForUpgrade(1, "reflash 1"));
+    ASSERT_FALSE(tb.supervisor().drainForUpgrade(2, "reflash 2"));
+
+    EXPECT_THROW(tb.supervisor().drainForUpgrade(0, "reflash 0"),
+                 MigrationError);
+    EXPECT_TRUE(tb.supervisor().migrations().empty());
+    EXPECT_FALSE(tb.supervisor().tracker(0).inMaintenance());
+    EXPECT_EQ(tb.supervisor().state(0), fpga::HealthState::Healthy);
+    EXPECT_EQ(tb.smApp().activeDevice(), 0u);
+    EXPECT_EQ(tb.smApp().secretsFingerprint(), fp);
+    EXPECT_TRUE(tb.userApp().secureWrite(0x00, 8));
+    EXPECT_EQ(tb.userApp().secureRead(0x00), 8u);
 }
 
 // ---- Same-seed determinism (replay contract) ------------------------
@@ -526,13 +439,9 @@ runUpgradeScenario(uint64_t seed)
             EXPECT_TRUE(tb.userApp().secureWrite(0x00, 1));
             run.oldFp = tb.smApp().secretsFingerprint();
 
-            Placement placement(3, seed);
-            for (uint64_t s = 1; s <= 8; ++s)
-                placement.place(s);
-            tb.supervisor().drainForUpgrade(0, placement,
-                                            "rolling upgrade");
+            tb.supervisor().drainForUpgrade(0, "rolling upgrade");
             tb.supervisor().runFor(50 * sim::kMs);
-            tb.supervisor().completeUpgrade(0, placement);
+            tb.supervisor().completeUpgrade(0);
 
             run.migrations = tb.supervisor().migrations().size();
             run.activeAfter = tb.smApp().activeDevice();

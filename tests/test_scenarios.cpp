@@ -248,6 +248,44 @@ no_starvation = 1
     runTwiceAndCheck(sc);
 }
 
+TEST(ScenarioEngine, CleanPollFailoverCountsAgainstFailoversMax)
+{
+    // Device 0 dies mid-run; a watchdog poll quarantines it and fails
+    // over cleanly (nothing throws). The failover must still count,
+    // and the loop must keep serving on the spare afterwards.
+    auto campaign = [](int failoversMax) {
+        return parseScenario(R"(
+[scenario]
+name = clean-poll-failover
+seed = 77
+devices = 2
+sweeps = 40
+poll_every = 2
+
+[tenant flood]
+pattern = flood
+ops_per_sweep = 8
+
+[fault]
+kind = device_dead
+device = 0
+at_ms = 4400
+
+[expect]
+failovers_max = )" + std::to_string(failoversMax) + "\n");
+    };
+
+    ScenarioOutcome strict = runScenario(campaign(0));
+    EXPECT_TRUE(strict.deployOk);
+    EXPECT_EQ(strict.failovers, 1u);
+    ASSERT_EQ(strict.violations.size(), 1u);
+    EXPECT_NE(strict.violations[0].find("failovers"), std::string::npos);
+
+    ScenarioOutcome out = runTwiceAndCheck(campaign(1));
+    EXPECT_EQ(out.failovers, 1u);
+    EXPECT_GT(out.completed, 0u);
+}
+
 TEST(ScenarioEngine, ExpectViolationsAreReportedNotThrown)
 {
     const std::string text = R"(
