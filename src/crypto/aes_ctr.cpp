@@ -134,6 +134,15 @@ AesCtr::seekBlock(uint64_t blockIndex)
 }
 
 Bytes
+labeledCounterBlock(const char label[8], uint64_t ctr)
+{
+    Bytes block(kAesBlockSize);
+    std::memcpy(block.data(), label, 8);
+    storeLe64(block.data() + 8, ctr);
+    return block;
+}
+
+Bytes
 aesCtrCrypt(ByteView key, ByteView counterBlock, ByteView data)
 {
     AesCtr ctr(key, counterBlock);

@@ -70,6 +70,11 @@ class AesCtr
     size_t avail_;
 };
 
+/** The 16-byte counter block `label || le64(ctr)`: an 8-byte domain
+ *  label followed by a counter, so streams under different labels
+ *  never share keystream. */
+Bytes labeledCounterBlock(const char label[8], uint64_t ctr);
+
 /** One-shot CTR transform. */
 Bytes aesCtrCrypt(ByteView key, ByteView counterBlock, ByteView data);
 

@@ -13,4 +13,13 @@ ctEqual(ByteView a, ByteView b)
     return acc == 0;
 }
 
+bool
+macEqual(uint64_t a, uint64_t b)
+{
+    uint8_t ab[8], bb[8];
+    storeLe64(ab, a);
+    storeLe64(bb, b);
+    return ctEqual(ByteView(ab, 8), ByteView(bb, 8));
+}
+
 } // namespace salus::crypto

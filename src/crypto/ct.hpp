@@ -17,6 +17,9 @@ namespace salus::crypto {
  */
 bool ctEqual(ByteView a, ByteView b);
 
+/** Constant-time equality of two truncated 64-bit MACs. */
+bool macEqual(uint64_t a, uint64_t b);
+
 } // namespace salus::crypto
 
 #endif // SALUS_CRYPTO_CT_HPP

@@ -18,25 +18,6 @@ constexpr uint32_t kDmaMagic = 0x53444d41;     // "SDMA"
 constexpr uint32_t kDmaRespMagic = 0x53444d52; // "SDMR"
 constexpr uint8_t kDmaVersion = 1;
 
-/** Builds the 16-byte CTR counter block for a direction + counter. */
-Bytes
-counterBlock(const char label[8], uint64_t ctr)
-{
-    Bytes block(16);
-    std::memcpy(block.data(), label, 8);
-    storeLe64(block.data() + 8, ctr);
-    return block;
-}
-
-bool
-macEqual(uint64_t a, uint64_t b)
-{
-    uint8_t ab[8], bb[8];
-    storeLe64(ab, a);
-    storeLe64(bb, b);
-    return crypto::ctEqual(ByteView(ab, 8), ByteView(bb, 8));
-}
-
 uint64_t
 truncatedHmac(ByteView macKey, ByteView msg)
 {
@@ -67,18 +48,9 @@ cryptDmaPayload(const crypto::Aes &aes, bool read, uint64_t ctrBase,
 {
     if (len == 0)
         return;
-    crypto::AesCtr cipher(
-        aes, counterBlock(read ? "SDMAREAD" : "SDMAWRIT", ctrBase));
+    const char *label = read ? "SDMAREAD" : "SDMAWRIT";
+    crypto::AesCtr cipher(aes, crypto::labeledCounterBlock(label, ctrBase));
     cipher.crypt(data, len);
-}
-
-void
-cryptDmaPayload(ByteView aesKey, bool read, uint64_t ctrBase,
-                uint8_t *data, size_t len)
-{
-    if (len == 0)
-        return;
-    cryptDmaPayload(crypto::Aes(aesKey), read, ctrBase, data, len);
 }
 
 uint64_t
@@ -170,7 +142,7 @@ verifyDescriptorMac(ByteView macKey, ByteView encoded)
     uint64_t expect = descriptorMac(
         macKey, ByteView(encoded.data(), encoded.size() - 8));
     uint64_t got = loadLe64(encoded.data() + encoded.size() - 8);
-    return macEqual(expect, got);
+    return crypto::macEqual(expect, got);
 }
 
 Bytes
@@ -190,14 +162,6 @@ sealReadResponse(const crypto::Aes &aes, ByteView macKey,
     uint64_t mac = truncatedHmac(macKey, w.data());
     w.writeU64(mac);
     return w.take();
-}
-
-Bytes
-sealReadResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-                 uint64_t seq, uint64_t ctrBase, ByteView plain)
-{
-    return sealReadResponse(crypto::Aes(aesKey), macKey, sessionId, seq,
-                            ctrBase, plain);
 }
 
 std::optional<Bytes>
@@ -220,19 +184,11 @@ openReadResponse(const crypto::Aes &aes, ByteView macKey,
     uint64_t expect =
         truncatedHmac(macKey, ByteView(blob.data(), blob.size() - 8));
     uint64_t got = loadLe64(blob.data() + blob.size() - 8);
-    if (!macEqual(expect, got))
+    if (!crypto::macEqual(expect, got))
         return std::nullopt;
     Bytes plain = r.readRaw(len);
     cryptDmaPayload(aes, true, ctrBase, plain.data(), plain.size());
     return plain;
-}
-
-std::optional<Bytes>
-openReadResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-                 uint64_t seq, uint64_t ctrBase, ByteView blob)
-{
-    return openReadResponse(crypto::Aes(aesKey), macKey, sessionId, seq,
-                            ctrBase, blob);
 }
 
 uint64_t

@@ -120,11 +120,8 @@ size_t dmaCtrBlocks(size_t bytes);
 
 /** En/decrypts a DMA payload in place under the direction-separated
  *  CTR labels ("SDMAWRIT" host->device, "SDMAREAD" device->host).
- *  The `crypto::Aes` overloads borrow a caller-cached key schedule —
- *  the per-session fast path (one expansion per session, not one per
- *  megabyte descriptor). */
-void cryptDmaPayload(ByteView aesKey, bool read, uint64_t ctrBase,
-                     uint8_t *data, size_t len);
+ *  Borrows a caller-cached key schedule: one expansion per session,
+ *  not one per megabyte descriptor. */
 void cryptDmaPayload(const crypto::Aes &aes, bool read, uint64_t ctrBase,
                      uint8_t *data, size_t len);
 
@@ -155,18 +152,12 @@ bool verifyDescriptorMac(ByteView macKey, ByteView encoded);
 // truncated HMAC over everything before it.
 
 /** Seals a read-response blob (fabric side). */
-Bytes sealReadResponse(ByteView aesKey, ByteView macKey,
-                       uint32_t sessionId, uint64_t seq,
-                       uint64_t ctrBase, ByteView plain);
 Bytes sealReadResponse(const crypto::Aes &aes, ByteView macKey,
                        uint32_t sessionId, uint64_t seq,
                        uint64_t ctrBase, ByteView plain);
 
 /** Verifies and decrypts a read-response blob (host side); empty
  *  optional = forged or mismatched. */
-std::optional<Bytes> openReadResponse(ByteView aesKey, ByteView macKey,
-                                      uint32_t sessionId, uint64_t seq,
-                                      uint64_t ctrBase, ByteView blob);
 std::optional<Bytes> openReadResponse(const crypto::Aes &aes,
                                       ByteView macKey,
                                       uint32_t sessionId, uint64_t seq,

@@ -24,16 +24,6 @@ nonceDnaMessage(uint64_t nonce, uint64_t dna, uint8_t direction)
     return msg;
 }
 
-/** Builds the 16-byte CTR counter block for a direction + counter. */
-Bytes
-counterBlock(const char label[8], uint64_t ctr)
-{
-    Bytes block(16);
-    std::memcpy(block.data(), label, 8);
-    storeLe64(block.data() + 8, ctr);
-    return block;
-}
-
 uint64_t
 truncatedHmac(ByteView macKey, uint64_t ctr, uint64_t ct0, uint64_t ct1,
               const char *direction)
@@ -106,7 +96,7 @@ sealRequest(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
     storeLe32(plain + 1, op.addr);
     storeLe64(plain + 5, op.data);
 
-    crypto::AesCtr cipher(aes, counterBlock("SREGCHAN", ctr));
+    crypto::AesCtr cipher(aes, crypto::labeledCounterBlock("SREGCHAN", ctr));
     cipher.crypt(plain, 16);
 
     SealedRegRequest req;
@@ -117,29 +107,20 @@ sealRequest(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
     return req;
 }
 
-SealedRegRequest
-sealRequest(ByteView aesKey, ByteView macKey, uint64_t ctr,
-            const RegOp &op)
-{
-    return sealRequest(crypto::Aes(aesKey), macKey, ctr, op);
-}
-
 std::optional<RegOp>
 openRequest(const crypto::Aes &aes, ByteView macKey,
             const SealedRegRequest &req)
 {
     uint64_t expect =
         truncatedHmac(macKey, req.ctr, req.ct0, req.ct1, "req");
-    uint8_t a[8], b[8];
-    storeLe64(a, expect);
-    storeLe64(b, req.mac);
-    if (!crypto::ctEqual(ByteView(a, 8), ByteView(b, 8)))
+    if (!crypto::macEqual(expect, req.mac))
         return std::nullopt;
 
     uint8_t buf[16];
     storeLe64(buf, req.ct0);
     storeLe64(buf + 8, req.ct1);
-    crypto::AesCtr cipher(aes, counterBlock("SREGCHAN", req.ctr));
+    crypto::AesCtr cipher(aes,
+                          crypto::labeledCounterBlock("SREGCHAN", req.ctr));
     cipher.crypt(buf, 16);
 
     RegOp op;
@@ -147,12 +128,6 @@ openRequest(const crypto::Aes &aes, ByteView macKey,
     op.addr = loadLe32(buf + 1);
     op.data = loadLe64(buf + 5);
     return op;
-}
-
-std::optional<RegOp>
-openRequest(ByteView aesKey, ByteView macKey, const SealedRegRequest &req)
-{
-    return openRequest(crypto::Aes(aesKey), macKey, req);
 }
 
 SealedRegResponse
@@ -163,7 +138,7 @@ sealResponse(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
     plain[0] = status;
     storeLe64(plain + 1, data);
 
-    crypto::AesCtr cipher(aes, counterBlock("SRSPCHAN", ctr));
+    crypto::AesCtr cipher(aes, crypto::labeledCounterBlock("SRSPCHAN", ctr));
     cipher.crypt(plain, 16);
 
     SealedRegResponse rsp;
@@ -173,39 +148,22 @@ sealResponse(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
     return rsp;
 }
 
-SealedRegResponse
-sealResponse(ByteView aesKey, ByteView macKey, uint64_t ctr,
-             uint8_t status, uint64_t data)
-{
-    return sealResponse(crypto::Aes(aesKey), macKey, ctr, status, data);
-}
-
 std::optional<std::pair<uint8_t, uint64_t>>
 openResponse(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
              const SealedRegResponse &rsp)
 {
     uint64_t expect =
         truncatedHmac(macKey, ctr, rsp.ct0, rsp.ct1, "rsp");
-    uint8_t a[8], b[8];
-    storeLe64(a, expect);
-    storeLe64(b, rsp.mac);
-    if (!crypto::ctEqual(ByteView(a, 8), ByteView(b, 8)))
+    if (!crypto::macEqual(expect, rsp.mac))
         return std::nullopt;
 
     uint8_t buf[16];
     storeLe64(buf, rsp.ct0);
     storeLe64(buf + 8, rsp.ct1);
-    crypto::AesCtr cipher(aes, counterBlock("SRSPCHAN", ctr));
+    crypto::AesCtr cipher(aes, crypto::labeledCounterBlock("SRSPCHAN", ctr));
     cipher.crypt(buf, 16);
 
     return std::make_pair(buf[0], loadLe64(buf + 1));
-}
-
-std::optional<std::pair<uint8_t, uint64_t>>
-openResponse(ByteView aesKey, ByteView macKey, uint64_t ctr,
-             const SealedRegResponse &rsp)
-{
-    return openResponse(crypto::Aes(aesKey), macKey, ctr, rsp);
 }
 
 // ---- Batched register bursts -----------------------------------------
@@ -218,16 +176,9 @@ cryptBatchBlock(const crypto::Aes &aes, bool response, uint64_t ctr,
     // ctr). The labels are disjoint from the single-op channel's
     // ("SREGCHAN"/"SRSPCHAN"), so batch and single traffic can share
     // a session counter space without keystream reuse.
-    crypto::AesCtr cipher(
-        aes, counterBlock(response ? "SRSPBRST" : "SREGBRST", ctr));
+    const char *label = response ? "SRSPBRST" : "SREGBRST";
+    crypto::AesCtr cipher(aes, crypto::labeledCounterBlock(label, ctr));
     cipher.crypt(block, kRegBatchBlock);
-}
-
-void
-cryptBatchBlock(ByteView aesKey, bool response, uint64_t ctr,
-                uint8_t *block)
-{
-    cryptBatchBlock(crypto::Aes(aesKey), response, ctr, block);
 }
 
 void
@@ -299,15 +250,6 @@ batchShapeOk(size_t payloadSize, uint64_t ctrBase)
     return ctrBase <= UINT64_MAX - (count - 1);
 }
 
-bool
-macEqual(uint64_t expect, uint64_t got)
-{
-    uint8_t a[8], b[8];
-    storeLe64(a, expect);
-    storeLe64(b, got);
-    return crypto::ctEqual(ByteView(a, 8), ByteView(b, 8));
-}
-
 } // namespace
 
 SealedRegBatch
@@ -328,14 +270,6 @@ sealBatch(const crypto::Aes &aes, ByteView macKey, uint32_t sessionId,
     return batch;
 }
 
-SealedRegBatch
-sealBatch(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-          uint64_t ctrBase, const std::vector<RegOp> &ops)
-{
-    return sealBatch(crypto::Aes(aesKey), macKey, sessionId, ctrBase,
-                     ops);
-}
-
 std::optional<std::vector<RegOp>>
 openBatch(const crypto::Aes &aes, ByteView macKey,
           const SealedRegBatch &batch)
@@ -344,7 +278,7 @@ openBatch(const crypto::Aes &aes, ByteView macKey,
         return std::nullopt;
     uint64_t expect = batchMac(macKey, batch.sessionId, batch.ctrBase,
                                batch.payload, false);
-    if (!macEqual(expect, batch.mac))
+    if (!crypto::macEqual(expect, batch.mac))
         return std::nullopt;
 
     std::vector<RegOp> ops(batch.count());
@@ -356,12 +290,6 @@ openBatch(const crypto::Aes &aes, ByteView macKey,
         ops[i] = decodeBatchOp(block);
     }
     return ops;
-}
-
-std::optional<std::vector<RegOp>>
-openBatch(ByteView aesKey, ByteView macKey, const SealedRegBatch &batch)
-{
-    return openBatch(crypto::Aes(aesKey), macKey, batch);
 }
 
 SealedBatchResponse
@@ -380,15 +308,6 @@ sealBatchResponse(const crypto::Aes &aes, ByteView macKey,
     return rsp;
 }
 
-SealedBatchResponse
-sealBatchResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-                  uint64_t ctrBase,
-                  const std::vector<BatchResult> &results)
-{
-    return sealBatchResponse(crypto::Aes(aesKey), macKey, sessionId,
-                             ctrBase, results);
-}
-
 std::optional<std::vector<BatchResult>>
 openBatchResponse(const crypto::Aes &aes, ByteView macKey,
                   uint32_t sessionId, uint64_t ctrBase,
@@ -399,7 +318,7 @@ openBatchResponse(const crypto::Aes &aes, ByteView macKey,
         return std::nullopt;
     uint64_t expect =
         batchMac(macKey, sessionId, ctrBase, rsp.payload, true);
-    if (!macEqual(expect, rsp.mac))
+    if (!crypto::macEqual(expect, rsp.mac))
         return std::nullopt;
 
     std::vector<BatchResult> results(rsp.count());
@@ -411,15 +330,6 @@ openBatchResponse(const crypto::Aes &aes, ByteView macKey,
         results[i] = decodeBatchResult(block);
     }
     return results;
-}
-
-std::optional<std::vector<BatchResult>>
-openBatchResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-                  uint64_t ctrBase, size_t expectCount,
-                  const SealedBatchResponse &rsp)
-{
-    return openBatchResponse(crypto::Aes(aesKey), macKey, sessionId,
-                             ctrBase, expectCount, rsp);
 }
 
 // ---- Multi-session key fan-out ---------------------------------------

@@ -92,36 +92,24 @@ struct SealedRegResponse
     uint64_t mac = 0;
 };
 
-// Every seal/open entry has two forms: a ByteView form that expands
-// the AES key schedule for the one call, and a `const crypto::Aes &`
-// form that borrows a caller-cached schedule — the per-session fast
-// path (the key is expanded once when the session opens or re-keys,
-// not once per register transaction).
+// Every seal/open entry borrows a caller-cached AES key schedule: the
+// key is expanded once when the session opens or re-keys, not once
+// per register transaction.
 
 /** Encrypts and MACs a register operation (host side). */
-SealedRegRequest sealRequest(ByteView aesKey, ByteView macKey,
-                             uint64_t ctr, const RegOp &op);
 SealedRegRequest sealRequest(const crypto::Aes &aes, ByteView macKey,
                              uint64_t ctr, const RegOp &op);
 
 /** Verifies and decrypts a request (fabric side); nullopt = reject. */
-std::optional<RegOp> openRequest(ByteView aesKey, ByteView macKey,
-                                 const SealedRegRequest &req);
 std::optional<RegOp> openRequest(const crypto::Aes &aes, ByteView macKey,
                                  const SealedRegRequest &req);
 
 /** Encrypts and MACs a response (fabric side). */
-SealedRegResponse sealResponse(ByteView aesKey, ByteView macKey,
-                               uint64_t ctr, uint8_t status,
-                               uint64_t data);
 SealedRegResponse sealResponse(const crypto::Aes &aes, ByteView macKey,
                                uint64_t ctr, uint8_t status,
                                uint64_t data);
 
 /** Verifies and decrypts a response (host side). */
-std::optional<std::pair<uint8_t, uint64_t>>
-openResponse(ByteView aesKey, ByteView macKey, uint64_t ctr,
-             const SealedRegResponse &rsp);
 std::optional<std::pair<uint8_t, uint64_t>>
 openResponse(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
              const SealedRegResponse &rsp);
@@ -175,8 +163,6 @@ struct SealedBatchResponse
 
 /** En/decrypts one 16-byte batch block in place with the one-block
  *  keystream at counter `ctr` (request or response direction). */
-void cryptBatchBlock(ByteView aesKey, bool response, uint64_t ctr,
-                     uint8_t *block);
 void cryptBatchBlock(const crypto::Aes &aes, bool response, uint64_t ctr,
                      uint8_t *block);
 
@@ -194,9 +180,6 @@ uint64_t batchMac(ByteView macKey, uint32_t sessionId, uint64_t ctrBase,
                   ByteView payload, bool response);
 
 /** Seals a burst of ops (host side, one-shot convenience). */
-SealedRegBatch sealBatch(ByteView aesKey, ByteView macKey,
-                         uint32_t sessionId, uint64_t ctrBase,
-                         const std::vector<RegOp> &ops);
 SealedRegBatch sealBatch(const crypto::Aes &aes, ByteView macKey,
                          uint32_t sessionId, uint64_t ctrBase,
                          const std::vector<RegOp> &ops);
@@ -204,28 +187,17 @@ SealedRegBatch sealBatch(const crypto::Aes &aes, ByteView macKey,
 /** Verifies and decrypts a burst (fabric side); nullopt = reject.
  *  Rejects empty, oversize, misaligned and counter-wrapping bursts
  *  before touching any crypto. */
-std::optional<std::vector<RegOp>> openBatch(ByteView aesKey,
-                                            ByteView macKey,
-                                            const SealedRegBatch &batch);
 std::optional<std::vector<RegOp>> openBatch(const crypto::Aes &aes,
                                             ByteView macKey,
                                             const SealedRegBatch &batch);
 
 /** Seals the per-op results of a burst (fabric side). */
 SealedBatchResponse
-sealBatchResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-                  uint64_t ctrBase,
-                  const std::vector<BatchResult> &results);
-SealedBatchResponse
 sealBatchResponse(const crypto::Aes &aes, ByteView macKey,
                   uint32_t sessionId, uint64_t ctrBase,
                   const std::vector<BatchResult> &results);
 
 /** Verifies and decrypts a burst response (host side). */
-std::optional<std::vector<BatchResult>>
-openBatchResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-                  uint64_t ctrBase, size_t expectCount,
-                  const SealedBatchResponse &rsp);
 std::optional<std::vector<BatchResult>>
 openBatchResponse(const crypto::Aes &aes, ByteView macKey,
                   uint32_t sessionId, uint64_t ctrBase,

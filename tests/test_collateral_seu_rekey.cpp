@@ -279,7 +279,7 @@ TEST(Rekey, OldKeyTrafficRejectedAfterRoll)
     netlist::Netlist design = bitstream::extractDesign(dev.readback(0));
     Bytes session =
         design.findCell(rig.tb->layout().keySessionPath)->init;
-    Bytes oldAes = sliceBytes(session, 0, 16);
+    crypto::Aes oldAes(sliceBytes(session, 0, 16));
     Bytes oldMac = sliceBytes(session, 16, 32);
     Bytes ctrCell =
         design.findCell(rig.tb->layout().ctrSessionPath)->init;

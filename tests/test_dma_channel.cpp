@@ -51,8 +51,10 @@ pattern(size_t n, uint64_t salt = 0)
 
 struct DmaKeys
 {
-    Bytes aes;
+    Bytes aesKey;
     Bytes mac;
+
+    crypto::Aes aes() const { return crypto::Aes(aesKey); }
 };
 
 DmaKeys
@@ -75,7 +77,7 @@ sealWrite(const DmaKeys &k, uint32_t sessionId, uint64_t seq, bool sync,
     d.ctrBase = seq * dmachan::kDmaCtrStride;
     d.sg.push_back({addr, uint32_t(plain.size())});
     d.payload.assign(plain.begin(), plain.end());
-    dmachan::cryptDmaPayload(k.aes, /*read=*/false, d.ctrBase,
+    dmachan::cryptDmaPayload(k.aes(), /*read=*/false, d.ctrBase,
                              d.payload.data(), d.payload.size());
     return dmachan::encodeDescriptor(k.mac, d);
 }
@@ -111,7 +113,7 @@ TEST(DmaDescriptor, WriteRoundTripPreservesEveryField)
         d.ctrBase = seq * dmachan::kDmaCtrStride;
         d.sg = {{0x1000, 1024}, {0x9000, 3072}};
         d.payload = plain;
-        dmachan::cryptDmaPayload(k.aes, false, d.ctrBase,
+        dmachan::cryptDmaPayload(k.aes(), false, d.ctrBase,
                                  d.payload.data(), d.payload.size());
         EXPECT_NE(d.payload, plain) << "payload not encrypted";
 
@@ -128,7 +130,7 @@ TEST(DmaDescriptor, WriteRoundTripPreservesEveryField)
             EXPECT_EQ(back.sg[i].addr, d.sg[i].addr);
             EXPECT_EQ(back.sg[i].len, d.sg[i].len);
         }
-        dmachan::cryptDmaPayload(k.aes, false, back.ctrBase,
+        dmachan::cryptDmaPayload(k.aes(), false, back.ctrBase,
                                  back.payload.data(),
                                  back.payload.size());
         EXPECT_EQ(back.payload, plain);
@@ -146,22 +148,22 @@ TEST(DmaDescriptor, ReadRoundTripAndResponse)
     EXPECT_EQ(back.sgBytes(), 512u);
 
     Bytes plain = pattern(512, 2);
-    Bytes blob = dmachan::sealReadResponse(k.aes, k.mac, 2, 5,
+    Bytes blob = dmachan::sealReadResponse(k.aes(), k.mac, 2, 5,
                                            back.ctrBase, plain);
     EXPECT_EQ(blob.size(), plain.size() + dmachan::kDmaRespOverhead);
-    auto open = dmachan::openReadResponse(k.aes, k.mac, 2, 5,
+    auto open = dmachan::openReadResponse(k.aes(), k.mac, 2, 5,
                                           back.ctrBase, blob);
     ASSERT_TRUE(open.has_value());
     EXPECT_EQ(*open, plain);
 
     // Echoed-context mismatches and tampering are all fatal.
-    EXPECT_FALSE(dmachan::openReadResponse(k.aes, k.mac, 3, 5,
+    EXPECT_FALSE(dmachan::openReadResponse(k.aes(), k.mac, 3, 5,
                                            back.ctrBase, blob));
-    EXPECT_FALSE(dmachan::openReadResponse(k.aes, k.mac, 2, 6,
+    EXPECT_FALSE(dmachan::openReadResponse(k.aes(), k.mac, 2, 6,
                                            back.ctrBase, blob));
     Bytes flipped = blob;
     flipped[dmachan::kDmaRespHeaderBytes] ^= 0x80;
-    EXPECT_FALSE(dmachan::openReadResponse(k.aes, k.mac, 2, 5,
+    EXPECT_FALSE(dmachan::openReadResponse(k.aes(), k.mac, 2, 5,
                                            back.ctrBase, flipped));
 }
 
@@ -395,7 +397,7 @@ TEST(DmaFabric, ReadGatherSealsVerifiableResponse)
     EXPECT_EQ(rig.ack(), 1u);
     Bytes blob = rig.device.dram().read(
         0x340000, plain.size() + dmachan::kDmaRespOverhead);
-    auto open = dmachan::openReadResponse(rig.keys.aes, rig.keys.mac, 0,
+    auto open = dmachan::openReadResponse(rig.keys.aes(), rig.keys.mac, 0,
                                           0, 0, blob);
     ASSERT_TRUE(open.has_value());
     EXPECT_EQ(*open, plain);

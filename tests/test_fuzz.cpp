@@ -461,7 +461,7 @@ TEST(Fuzz, BatchParserNeverCrashesOrFalselyAccepts)
     // bursts must be rejected cleanly; only the genuine seal opens.
     using namespace core::regchan;
     crypto::CtrDrbg rng(uint64_t(2024));
-    Bytes aes = rng.bytes(16);
+    crypto::Aes aes(rng.bytes(16));
     Bytes mac = rng.bytes(32);
 
     for (int i = 0; i < 300; ++i) {
@@ -635,7 +635,7 @@ TEST(Fuzz, ScenarioParserNeverCrashesOnMangledCampaigns)
 TEST(Fuzz, DmaDescriptorDecodeNeverCrashesOrFalselyAccepts)
 {
     crypto::CtrDrbg rng(uint64_t(6003));
-    Bytes aes = rng.bytes(16);
+    crypto::Aes aes(rng.bytes(16));
     Bytes mac = rng.bytes(32);
     core::dmachan::DmaDescriptor d;
     d.sessionId = 1;

@@ -37,7 +37,7 @@ loopbackAccel()
 
 struct BatchKeys
 {
-    Bytes aes;
+    crypto::Aes aes;
     Bytes mac;
 };
 
@@ -45,7 +45,7 @@ BatchKeys
 testKeys(uint64_t seed)
 {
     crypto::CtrDrbg rng(seed);
-    return {rng.bytes(16), rng.bytes(32)};
+    return {crypto::Aes(rng.bytes(16)), rng.bytes(32)};
 }
 
 std::vector<regchan::RegOp>
@@ -223,9 +223,9 @@ TEST(RegBatch, SlotKeyDerivationIsolatesSessions)
     EXPECT_EQ(slot1, regchan::deriveSlotSessionKeys(base, 1, 10));
 
     // A burst sealed under slot 1's keys never opens under slot 2's.
-    ByteView aes1 = ByteView(slot1).subspan(0, 16);
+    crypto::Aes aes1(ByteView(slot1).subspan(0, 16));
     ByteView mac1 = ByteView(slot1).subspan(16, 32);
-    ByteView aes2 = ByteView(slot2).subspan(0, 16);
+    crypto::Aes aes2(ByteView(slot2).subspan(0, 16));
     ByteView mac2 = ByteView(slot2).subspan(16, 32);
     regchan::SealedRegBatch sealed =
         regchan::sealBatch(aes1, mac1, 1, 50, sampleOps(4));

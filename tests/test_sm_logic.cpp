@@ -183,33 +183,25 @@ TEST(SmLogicTest, SecretsNotReadableOverBus)
 TEST(SmLogicTest, SecureRegReadWrite)
 {
     Rig rig;
+    crypto::Aes aes(rig.secrets.sessionAesKey());
+    ByteView mac = rig.secrets.sessionMacKey();
     uint64_t ctr = rig.secrets.ctrBase + 1;
 
     regchan::RegOp write{true, 0x00, 0x1234};
     regchan::SealedRegResponse rsp;
-    EXPECT_EQ(rig.secureOp(
-                  regchan::sealRequest(rig.secrets.sessionAesKey(),
-                                       rig.secrets.sessionMacKey(), ctr,
-                                       write),
-                  &rsp),
-              kSmStatusOk);
-    auto opened = regchan::openResponse(rig.secrets.sessionAesKey(),
-                                        rig.secrets.sessionMacKey(),
-                                        ctr, rsp);
+    EXPECT_EQ(
+        rig.secureOp(regchan::sealRequest(aes, mac, ctr, write), &rsp),
+        kSmStatusOk);
+    auto opened = regchan::openResponse(aes, mac, ctr, rsp);
     ASSERT_TRUE(opened.has_value());
     EXPECT_EQ(opened->first, 0);
 
     ++ctr;
     regchan::RegOp read{false, 0x00, 0};
-    EXPECT_EQ(rig.secureOp(
-                  regchan::sealRequest(rig.secrets.sessionAesKey(),
-                                       rig.secrets.sessionMacKey(), ctr,
-                                       read),
-                  &rsp),
-              kSmStatusOk);
-    opened = regchan::openResponse(rig.secrets.sessionAesKey(),
-                                   rig.secrets.sessionMacKey(), ctr,
-                                   rsp);
+    EXPECT_EQ(
+        rig.secureOp(regchan::sealRequest(aes, mac, ctr, read), &rsp),
+        kSmStatusOk);
+    opened = regchan::openResponse(aes, mac, ctr, rsp);
     ASSERT_TRUE(opened.has_value());
     EXPECT_EQ(opened->second, 0x1234u);
 }
@@ -217,33 +209,31 @@ TEST(SmLogicTest, SecureRegReadWrite)
 TEST(SmLogicTest, CounterRulesEnforced)
 {
     Rig rig;
+    crypto::Aes aes(rig.secrets.sessionAesKey());
+    ByteView mac = rig.secrets.sessionMacKey();
     uint64_t ctr = rig.secrets.ctrBase + 5;
     regchan::RegOp op{true, 0x08, 1};
-    auto req = regchan::sealRequest(rig.secrets.sessionAesKey(),
-                                    rig.secrets.sessionMacKey(), ctr, op);
+    auto req = regchan::sealRequest(aes, mac, ctr, op);
 
     EXPECT_EQ(rig.secureOp(req), kSmStatusOk);
     // Exact replay: rejected.
     EXPECT_EQ(rig.secureOp(req), kSmStatusRejected);
     // Counter below the base: rejected even with a valid MAC.
-    auto stale = regchan::sealRequest(rig.secrets.sessionAesKey(),
-                                      rig.secrets.sessionMacKey(),
-                                      rig.secrets.ctrBase, op);
+    auto stale = regchan::sealRequest(aes, mac, rig.secrets.ctrBase, op);
     EXPECT_EQ(rig.secureOp(stale), kSmStatusRejected);
     // Skipping forward is fine (lost messages tolerated).
-    auto ahead = regchan::sealRequest(rig.secrets.sessionAesKey(),
-                                      rig.secrets.sessionMacKey(),
-                                      ctr + 100, op);
+    auto ahead = regchan::sealRequest(aes, mac, ctr + 100, op);
     EXPECT_EQ(rig.secureOp(ahead), kSmStatusOk);
 }
 
 TEST(SmLogicTest, TamperedSealedRequestRejected)
 {
     Rig rig;
+    crypto::Aes aes(rig.secrets.sessionAesKey());
     uint64_t ctr = rig.secrets.ctrBase + 1;
     regchan::RegOp op{true, 0x00, 42};
-    auto req = regchan::sealRequest(rig.secrets.sessionAesKey(),
-                                    rig.secrets.sessionMacKey(), ctr, op);
+    auto req = regchan::sealRequest(aes, rig.secrets.sessionMacKey(), ctr,
+                                    op);
 
     auto flipCt = req;
     flipCt.ct0 ^= 1;
@@ -271,7 +261,8 @@ TEST(SmLogicTest, UnknownCommandRejected)
 TEST(RegChannel, SealOpenRoundtrip)
 {
     crypto::CtrDrbg rng(uint64_t(5));
-    Bytes aes = rng.bytes(16), mac = rng.bytes(32);
+    crypto::Aes aes(rng.bytes(16));
+    Bytes mac = rng.bytes(32);
 
     for (uint64_t ctr : {1ull, 77ull, ~0ull}) {
         regchan::RegOp op{true, 0xabcd, 0x1122334455667788ull};
@@ -290,7 +281,8 @@ TEST(RegChannel, RequestsAndResponsesDomainSeparated)
     // must not verify: directions use distinct MAC labels and CTR
     // blocks.
     crypto::CtrDrbg rng(uint64_t(6));
-    Bytes aes = rng.bytes(16), mac = rng.bytes(32);
+    crypto::Aes aes(rng.bytes(16));
+    Bytes mac = rng.bytes(32);
     auto req = regchan::sealRequest(aes, mac, 10,
                                     regchan::RegOp{false, 0, 0});
     regchan::SealedRegResponse fakeRsp{req.ct0, req.ct1, req.mac};
@@ -301,7 +293,8 @@ TEST(RegChannel, RequestsAndResponsesDomainSeparated)
 TEST(RegChannel, WrongKeysFail)
 {
     crypto::CtrDrbg rng(uint64_t(7));
-    Bytes aes = rng.bytes(16), mac = rng.bytes(32);
+    crypto::Aes aes(rng.bytes(16));
+    Bytes mac = rng.bytes(32);
     auto req = regchan::sealRequest(aes, mac, 3,
                                     regchan::RegOp{true, 4, 5});
 
@@ -311,7 +304,7 @@ TEST(RegChannel, WrongKeysFail)
     // Wrong AES key with right MAC key: MAC still verifies (MAC is
     // over ciphertext) but the decrypted op is garbage -- this is why
     // both halves of Key_session come from the same injection.
-    Bytes otherAes = rng.bytes(16);
+    crypto::Aes otherAes(rng.bytes(16));
     auto opened = regchan::openRequest(otherAes, mac, req);
     ASSERT_TRUE(opened.has_value());
     EXPECT_FALSE(opened->isWrite == true && opened->addr == 4 &&
