@@ -160,56 +160,54 @@ Network::call(const std::string &from, const std::string &to,
 }
 
 CallOutcome
+Network::callOnce(const std::string &from, const std::string &to,
+                  const std::string &method, ByteView request,
+                  const std::string &phase, sim::Nanos deadline)
+{
+    CallOutcome out;
+    out.attempts = 1;
+    auto failed = [&out](FailureClass f, const auto &e) {
+        out.failure = f;
+        out.error = e.what();
+        out.context = e.context();
+        return out;
+    };
+    try {
+        out.response = call(from, to, method, request, phase, deadline);
+        out.failure = FailureClass::None;
+        return out;
+    } catch (const TimeoutError &e) {
+        return failed(FailureClass::Timeout, e);
+    } catch (const PolicyError &e) {
+        // Deterministic policy verdict (quota/rate/overload): a retry
+        // replays the same request into the same wall.
+        return failed(FailureClass::Policy, e);
+    } catch (const NetError &e) {
+        return failed(FailureClass::Transport, e);
+    }
+}
+
+CallOutcome
 Network::callWithRetry(const std::string &from, const std::string &to,
                        const std::string &method, ByteView request,
                        const RetryPolicy &policy, const std::string &phase)
 {
     CallOutcome out;
-    int attempts = policy.maxAttempts < 1 ? 1 : policy.maxAttempts;
-    for (int attempt = 1; attempt <= attempts; ++attempt) {
-        out.attempts = attempt;
-        if (attempt > 1) {
-            clock_.spend(kRetryBackoffPhase,
-                         policy.backoffBefore(attempt));
+    out.attempts = policy.run(&clock_, 1, [&](int attempt) {
+        if (attempt > 1)
             logf(LogLevel::Debug, "net", "retrying ", method, " (",
-                 attempt, "/", attempts, ")");
-        }
-        try {
-            out.response = call(from, to, method, request, phase,
-                                policy.deadline);
-            out.failure = FailureClass::None;
-            out.error.clear();
-            out.context = ErrorContext{};
-            return out;
-        } catch (const TimeoutError &e) {
-            out.failure = FailureClass::Timeout;
-            out.error = e.what();
-            out.context = e.context();
+                 attempt, "/", policy.maxAttempts, ")");
+        out = callOnce(from, to, method, request, phase, policy.deadline);
+        if (!out.ok())
             out.context.attempt = attempt;
-        } catch (const PolicyError &e) {
-            // Deterministic policy verdict (quota/rate/overload): a
-            // retry replays the same request into the same wall, so
-            // the schedule stops here — unlike transport faults.
-            out.failure = FailureClass::Policy;
-            out.error = e.what();
-            out.context = e.context();
-            out.context.attempt = attempt;
-            return out;
-        } catch (const NetError &e) {
-            out.failure = FailureClass::Transport;
-            out.error = e.what();
-            out.context = e.context();
-            out.context.attempt = attempt;
-        }
-    }
-    out.error += " (after " + std::to_string(out.attempts) + " attempts)";
-    if (policy.enabled()) {
-        // A bounded schedule was exhausted by transport-class faults:
-        // classify as persistent so the caller escalates to its
-        // supervisor instead of hammering the same device/link.
-        out.failure = FailureClass::Persistent;
-        if (policy.onExhausted)
-            policy.onExhausted(out.context);
+        return isTerminal(out.failure);
+    });
+    if (!isTerminal(out.failure)) {
+        // A bounded schedule exhausted by transport-class faults is
+        // persistent: the caller escalates to its supervisor instead
+        // of hammering the same device/link.
+        out.error += " (after " + std::to_string(out.attempts) + " attempts)";
+        out.failure = policy.settle(out.failure);
     }
     return out;
 }

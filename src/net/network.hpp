@@ -78,8 +78,15 @@ class Network
                const std::string &method, ByteView request,
                const std::string &phase = "", sim::Nanos deadline = 0);
 
+    /** One call() as a typed outcome: the one place a TimeoutError,
+     *  PolicyError or NetError becomes Timeout, Policy or Transport. */
+    CallOutcome callOnce(const std::string &from, const std::string &to,
+                         const std::string &method, ByteView request,
+                         const std::string &phase = "",
+                         sim::Nanos deadline = 0);
+
     /**
-     * call() wrapped in a RetryPolicy: transport faults and timeouts
+     * callOnce() wrapped in a RetryPolicy: transport faults and timeouts
      * are retried with exponential backoff charged to the virtual
      * clock; the typed outcome reports the final failure class and
      * attempt count. Only use for idempotent or fresh-per-attempt

@@ -24,33 +24,49 @@ failureClassName(FailureClass f)
     return "?";
 }
 
+bool
+isTerminal(FailureClass f)
+{
+    return f == FailureClass::None || f == FailureClass::Security ||
+           f == FailureClass::Policy;
+}
+
+// The one backoff shape: exponential from 50 ms, capped at 2 s, with
+// +/-25% jitter drawn from a fixed splitmix64 stream.
+constexpr sim::Nanos kInitialBackoff = 50 * sim::kMs;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr sim::Nanos kMaxBackoff = 2 * sim::kSec;
+constexpr double kJitterFraction = 0.25;
+constexpr uint64_t kJitterSeed = 0x5a105f4b;
+
 sim::Nanos
-RetryPolicy::backoffBefore(int attempt) const
+RetryPolicy::backoffBefore(int attempt)
 {
     if (attempt <= 1)
         return 0;
-    double base = double(initialBackoff);
+    double base = double(kInitialBackoff);
     for (int i = 2; i < attempt; ++i)
-        base *= backoffMultiplier;
-    if (base > double(maxBackoff))
-        base = double(maxBackoff);
-    // Deterministic jitter in [1 - j, 1 + j): same seed, same schedule.
-    uint64_t state = jitterSeed ^ (uint64_t(attempt) * 0x9e3779b9ull);
+        base *= kBackoffMultiplier;
+    if (base > double(kMaxBackoff))
+        base = double(kMaxBackoff);
+    // Deterministic jitter in [1 - j, 1 + j): same attempt, same wait.
+    uint64_t state = kJitterSeed ^ (uint64_t(attempt) * 0x9e3779b9ull);
     double unit = double(sim::splitmix64(state) >> 11) * 0x1.0p-53;
-    double factor = 1.0 + jitterFraction * (2.0 * unit - 1.0);
-    double jittered = base * factor;
-    if (jittered < 0)
-        jittered = 0;
-    return sim::Nanos(jittered);
+    double factor = 1.0 + kJitterFraction * (2.0 * unit - 1.0);
+    return sim::Nanos(base * factor);
+}
+
+FailureClass
+RetryPolicy::settle(FailureClass last) const
+{
+    return enabled() && !isTerminal(last) ? FailureClass::Persistent
+                                          : last;
 }
 
 RetryPolicy
 RetryPolicy::none()
 {
-    RetryPolicy p;
-    p.maxAttempts = 1;
-    p.deadline = 0;
-    return p;
+    return RetryPolicy{};
 }
 
 RetryPolicy
@@ -58,11 +74,6 @@ RetryPolicy::standard()
 {
     RetryPolicy p;
     p.maxAttempts = 4;
-    p.initialBackoff = 50 * sim::kMs;
-    p.backoffMultiplier = 2.0;
-    p.maxBackoff = 2 * sim::kSec;
-    p.jitterFraction = 0.25;
-    p.deadline = 0;
     return p;
 }
 

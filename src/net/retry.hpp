@@ -14,7 +14,7 @@
 #ifndef SALUS_NET_RETRY_HPP
 #define SALUS_NET_RETRY_HPP
 
-#include <functional>
+#include <algorithm>
 #include <string>
 
 #include "common/bytes.hpp"
@@ -43,33 +43,50 @@ enum class FailureClass : uint8_t {
 
 const char *failureClassName(FailureClass f);
 
-/** Retry schedule: bounded attempts, exponential backoff + jitter. */
+/** True when no retry can change the result: success, a security
+ *  rejection or a policy verdict. */
+bool isTerminal(FailureClass f);
+
+/** Phase label retry backoff is charged to on the virtual clock. */
+inline const char *const kRetryBackoffPhase = "Retry Backoff";
+
+/** Retry schedule: bounded attempts and a per-call deadline. The
+ *  backoff shape is fixed in retry.cpp. */
 struct RetryPolicy
 {
     /** Total attempts including the first; 1 disables retries. */
     int maxAttempts = 1;
-    sim::Nanos initialBackoff = 50 * sim::kMs;
-    double backoffMultiplier = 2.0;
-    sim::Nanos maxBackoff = 2 * sim::kSec;
-    /** +/- fraction of deterministic jitter applied to each backoff. */
-    double jitterFraction = 0.25;
     /** Per-call virtual-time deadline; 0 disables the check. */
     sim::Nanos deadline = 0;
-    /** Seed for the jitter stream (mixed with the attempt number). */
-    uint64_t jitterSeed = 0x5a105f4b;
-
-    /**
-     * Fleet-aware hook: invoked once when the schedule is exhausted
-     * by transport-class failures (the outcome is then classified
-     * FailureClass::Persistent). Lets a supervisor observe persistent
-     * per-device failure without the caller owning failover policy.
-     */
-    std::function<void(const ErrorContext &)> onExhausted;
 
     bool enabled() const { return maxAttempts > 1; }
 
     /** Backoff charged before attempt N (N >= 2); deterministic. */
-    sim::Nanos backoffBefore(int attempt) const;
+    static sim::Nanos backoffBefore(int attempt);
+
+    /**
+     * The one retry loop: runs attempt(n) for n = 1, 2, ... until it
+     * returns true ("done": success, or a failure no retry can change)
+     * or max(minAttempts, maxAttempts) attempts have run, charging
+     * the backoff to kRetryBackoffPhase on `clock` (if non-null)
+     * before each n > 1. @return the number of attempts run.
+     */
+    template <typename Attempt>
+    int
+    run(sim::VirtualClock *clock, int minAttempts, Attempt &&attempt) const
+    {
+        int attempts = std::max(minAttempts, maxAttempts);
+        for (int n = 1;; ++n) {
+            if (n > 1 && clock)
+                clock->spend(kRetryBackoffPhase, backoffBefore(n));
+            if (attempt(n) || n >= attempts)
+                return n;
+        }
+    }
+
+    /** The class a call reports after its last attempt failed with
+     *  `last`: Persistent if that spent an enabled schedule. */
+    FailureClass settle(FailureClass last) const;
 
     /** No retries, no deadline — the seed repo's behaviour. */
     static RetryPolicy none();
@@ -77,9 +94,6 @@ struct RetryPolicy
     /** Default self-healing schedule: 4 attempts, 50 ms..2 s. */
     static RetryPolicy standard();
 };
-
-/** Phase label retry backoff is charged to on the virtual clock. */
-inline const char *const kRetryBackoffPhase = "Retry Backoff";
 
 /** Typed result of a (possibly retried) call. */
 struct CallOutcome

@@ -9,6 +9,7 @@
 #include "common/log.hpp"
 #include "common/serde.hpp"
 #include "crypto/aes_gcm.hpp"
+#include "crypto/ct.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/x25519.hpp"
 #include "manufacturer/manufacturer.hpp"
@@ -362,33 +363,31 @@ SmEnclaveApp::runSecureBoot()
         return;
     }
 
-    int maxAttempts = std::max(1, deps_.retry.maxAttempts);
-    for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
-        if (attempt > 1) {
-            deps_.sim.spend(net::kRetryBackoffPhase,
-                            deps_.retry.backoffBefore(attempt));
+    bool retryable = false;
+    int attempts = deps_.retry.run(deps_.sim.clock, 1, [&](int attempt) {
+        if (attempt > 1)
             logf(LogLevel::Info, "sm-enclave", "secure boot attempt ",
                  attempt, " after: ", status_.failure);
-        }
         obs::Span attemptSpan(obs::Category::Boot, "boot_attempt",
                               uint64_t(attempt));
         obs::count("boot.attempts");
         std::string failure;
-        bool retryable = false;
+        retryable = false;
         status_.deployed = false;
         status_.attested = false;
         if (attemptSecureBoot(failure, retryable)) {
             status_.failure.clear();
-            return;
+            retryable = false;
+            return true;
         }
         obs::count("boot.attempt_failures");
         status_.failure = failure;
-        if (!retryable)
-            return; // security rejection — never retried
-    }
+        return !retryable; // security rejection — never retried
+    });
     // Bounded schedule exhausted by transport-class failures: surface
     // the device to the fleet supervisor instead of hammering on.
-    reportDeviceFailure("secureBoot", maxAttempts);
+    if (retryable)
+        reportDeviceFailure("secureBoot", attempts);
 }
 
 void
@@ -668,7 +667,7 @@ SmEnclaveApp::attestCl(std::string &failure)
     }
     uint64_t expect =
         regchan::attestResponseMac(secrets_.keyAttest, nonce, dna);
-    if (outNonce != nonce + 1 || macRsp != expect) {
+    if (outNonce != nonce + 1 || !crypto::macEqual(macRsp, expect)) {
         failure = "CL attestation MAC mismatch";
         return false;
     }
@@ -776,6 +775,47 @@ SmEnclaveApp::reattestCl()
     return ok;
 }
 
+template <typename Attempt>
+uint8_t
+SmEnclaveApp::channelAttempts(uint32_t slot, const char *method,
+                              Attempt &&attempt)
+{
+    // After a re-key whose completion was lost (base slot only), the
+    // fabric holds either the keys we hold or the rolled ones, and a
+    // failed attempt cannot tell a rejection of our keys from a lost
+    // register write. So each attempt after the first switches to the
+    // other candidate set; any authenticated response settles the
+    // question and clears the record; and when every attempt fails the
+    // pre-call keys come back and the record waits for the next call.
+    // The record always earns one probe, even with retries disabled.
+    bool converge = slot == 0 && havePendingRekey_;
+    Bytes preCall = converge ? secrets_.keySession : Bytes();
+    uint8_t code = 0xfc;
+    int attempts = deps_.retry.run(
+        deps_.sim.clock, converge ? 2 : 1, [&](int attemptNo) {
+            // Even attempts try the rolled keys, odd ones the pre-call.
+            if (converge && attemptNo % 2 == 0)
+                adoptPendingRekey();
+            else if (converge && attemptNo > 1)
+                secrets_.keySession = preCall;
+            code = attempt();
+            return code == 0;
+        });
+    if (converge) {
+        if (code == 0)
+            clearPendingRekey();
+        else
+            secrets_.keySession = preCall;
+        secureZero(preCall);
+    }
+    // Every sealed attempt was lost or rejected — the device is not
+    // serving the channel. Tell the supervisor; it owns the decision
+    // to quarantine and fail the session over.
+    if (code != 0)
+        reportDeviceFailure(method, attempts);
+    return code;
+}
+
 std::pair<uint8_t, uint64_t>
 SmEnclaveApp::secureRegOp(const regchan::RegOp &op)
 {
@@ -791,54 +831,6 @@ SmEnclaveApp::secureRegOp(const regchan::RegOp &op)
         return failed ? result.first : 0;
     });
     return result;
-}
-
-uint8_t
-SmEnclaveApp::channelAttempts(uint32_t slot, const char *method,
-                              const std::function<uint8_t()> &attempt)
-{
-    // After a re-key whose completion was lost (base slot only), the
-    // fabric holds either the keys we hold or the rolled ones, and a
-    // failed attempt cannot tell a rejection of our keys from a lost
-    // register write. So each failure switches the next attempt to the
-    // other candidate set; any authenticated response settles the
-    // question and clears the record; and when every attempt fails the
-    // pre-call keys come back and the record waits for the next call.
-    // The record always earns one probe, even with retries disabled.
-    bool converge = slot == 0 && havePendingRekey_;
-    int maxAttempts = std::max(converge ? 2 : 1, deps_.retry.maxAttempts);
-    Bytes preCall = converge ? secrets_.keySession : Bytes();
-    bool rolled = false;
-    uint8_t code = 0xfc;
-    for (int attemptNo = 1; attemptNo <= maxAttempts; ++attemptNo) {
-        if (attemptNo > 1) {
-            deps_.sim.spend(net::kRetryBackoffPhase,
-                            deps_.retry.backoffBefore(attemptNo));
-        }
-        code = attempt();
-        if (code == 0)
-            break;
-        if (converge && attemptNo < maxAttempts) {
-            if (rolled)
-                secrets_.keySession = preCall;
-            else
-                adoptPendingRekey();
-            rolled = !rolled;
-        }
-    }
-    if (converge) {
-        if (code == 0)
-            clearPendingRekey();
-        else
-            secrets_.keySession = preCall;
-        secureZero(preCall);
-    }
-    // Every sealed attempt was lost or rejected — the device is not
-    // serving the channel. Tell the supervisor; it owns the decision
-    // to quarantine and fail the session over.
-    if (code != 0)
-        reportDeviceFailure(method, maxAttempts);
-    return code;
 }
 
 ByteView
@@ -1283,7 +1275,7 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
             sh.dmaPostedRegRead(pcie::Window::SmSecure, kSmRegOut0);
         uint64_t mac =
             sh.dmaPostedRegRead(pcie::Window::SmSecure, kSmRegOut1);
-        if (mac != dmachan::ackMac(macKey, slot, seq))
+        if (!crypto::macEqual(mac, dmachan::ackMac(macKey, slot, seq)))
             return false;
         ackSeq = seq;
         return true;
@@ -1346,8 +1338,9 @@ SmEnclaveApp::heartbeatDevice(uint32_t deviceId)
         uint64_t mac =
             sh.registerRead(pcie::Window::SmSecure, kSmRegOut2);
         if (outNonce != nonce + 1 ||
-            mac != regchan::heartbeatResponseMac(secrets_.keyAttest,
-                                                 nonce, dna, res.count)) {
+            !crypto::macEqual(mac, regchan::heartbeatResponseMac(
+                                       secrets_.keyAttest, nonce, dna,
+                                       res.count))) {
             res.failure = "heartbeat response MAC forged";
             return res; // reachable but inauthentic — quarantine-worthy
         }
@@ -1435,13 +1428,14 @@ SmEnclaveApp::commitMigration(const MigrationTicket &ticket)
     // Epoch binding: a ticket for an already-retired secret set (the
     // migration it authorized committed, or a failover rolled the
     // keys) no longer matches the live fingerprint — replay is dead.
-    if (ticket.sourceFingerprint != secrets_.fingerprint())
+    if (!crypto::ctEqual(ticket.sourceFingerprint, secrets_.fingerprint()))
         return false;
-    if (ticket.mac !=
-        regchan::migrationTicketMac(
-            secrets_.keyAttest, ticket.fromDevice, ticket.toDevice,
-            ticket.fromDna, ticket.toDna, ticket.nonce,
-            ticket.sourceFingerprint))
+    if (!crypto::macEqual(
+            ticket.mac,
+            regchan::migrationTicketMac(
+                secrets_.keyAttest, ticket.fromDevice, ticket.toDevice,
+                ticket.fromDna, ticket.toDna, ticket.nonce,
+                ticket.sourceFingerprint)))
         return false;
 
     obs::count("sm.migrations");

@@ -99,8 +99,8 @@ struct SmEnclaveDeps
     std::function<void(ByteView)> storeJournal;
     std::function<Bytes()> fetchJournal;
     /** Invoked when a device exhausts the retry schedule on the
-     *  register channel or secure boot — the fleet supervisor's cue
-     *  to consider failover. */
+     *  register channel or secure boot, or a DMA transfer exhausts its
+     *  attempts — the fleet supervisor's cue to consider failover. */
     std::function<void(uint32_t, const ErrorContext &)> onDeviceFailure;
 };
 
@@ -392,16 +392,17 @@ class SmEnclaveApp : public tee::Enclave
      *  @return the first counter of the span. */
     uint64_t reserveCtrSpan(uint32_t slot, uint64_t n);
     /**
-     * The one bounded-attempt loop of the secure register channel
-     * (single ops and bursts). `attempt` returns 0 on an
-     * authenticated response, else 0xfc/0xfb; every attempt reseals
-     * under fresh counters. On the base slot with a pending re-key
-     * record it also converges the keys (see the definition). When
-     * every attempt fails, onDeviceFailure hears `method`.
+     * The secure register channel (single ops and bursts) on the
+     * RetryPolicy loop. `attempt` returns 0 on an authenticated
+     * response, else 0xfc/0xfb; every attempt reseals under fresh
+     * counters. On the base slot with a pending re-key record it also
+     * converges the keys (see the definition). When every attempt
+     * fails, onDeviceFailure hears `method`.
      * @return the last attempt's code.
      */
+    template <typename Attempt>
     uint8_t channelAttempts(uint32_t slot, const char *method,
-                            const std::function<uint8_t()> &attempt);
+                            Attempt &&attempt);
     /** One sealed burst attempt. @return 0 ok (out filled), 0xfc
      *  fabric rejected, 0xfb response forged. */
     uint8_t secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
@@ -412,10 +413,9 @@ class SmEnclaveApp : public tee::Enclave
     dmaTransfer(uint32_t slot, bool read,
                 const std::vector<dmachan::DmaSgEntry> &sg,
                 ByteView data, Bytes *out, const DmaOptions &opts);
-    /** The bounded-attempt secure-boot loop (graceful degradation):
-     *  retries transport-class failures with backoff, stops on
-     *  security rejections, and redeploys after failed loads or
-     *  uncorrectable configuration upsets. */
+    /** Secure boot on the RetryPolicy loop: retries transport-class
+     *  failures (failed loads, uncorrectable upsets) by redeploying,
+     *  and stops on security rejections. */
     void runSecureBoot();
     bool attemptSecureBoot(std::string &failure, bool &retryable);
     bool fetchDeviceKey(std::string &failure, bool &retryable);

@@ -2,6 +2,7 @@
 
 #include "common/errors.hpp"
 #include "common/serde.hpp"
+#include "crypto/ct.hpp"
 #include "salus/reg_channel.hpp"
 #include "salus/secrets.hpp"
 
@@ -211,7 +212,7 @@ SmLogic::doAttest()
     uint64_t macReq = in_[1];
 
     uint64_t expect = regchan::attestRequestMac(keyAttest_, nonce, dna_);
-    if (macReq != expect) {
+    if (!crypto::macEqual(macReq, expect)) {
         ++statAttestRejected_;
         status_ = kSmStatusRejected;
         return;
@@ -231,7 +232,8 @@ SmLogic::doHeartbeat()
     uint64_t nonce = in_[0];
     uint64_t macReq = in_[1];
 
-    if (macReq != regchan::heartbeatRequestMac(keyAttest_, nonce, dna_)) {
+    uint64_t expect = regchan::heartbeatRequestMac(keyAttest_, nonce, dna_);
+    if (!crypto::macEqual(macReq, expect)) {
         ++statHeartbeatRejected_;
         status_ = kSmStatusRejected;
         return;
@@ -253,7 +255,7 @@ SmLogic::doRekey()
 
     SessionSlot &base = sessions_[0];
     if (ctr <= base.lastCtr ||
-        mac != regchan::rekeyMac(base.macKey, ctr, nonce)) {
+        !crypto::macEqual(mac, regchan::rekeyMac(base.macKey, ctr, nonce))) {
         ++statRegOpRejected_;
         status_ = kSmStatusRejected;
         return;
@@ -349,7 +351,7 @@ SmLogic::doSecureBatch()
     uint64_t expect = regchan::batchMac(
         slot.macKey, static_cast<uint32_t>(slotId), ctrBase, burstIn_,
         /*response=*/false);
-    if (mac != expect) {
+    if (!crypto::macEqual(mac, expect)) {
         reject();
         return;
     }
@@ -399,8 +401,9 @@ SmLogic::doOpenSession()
     // MAC key with a strictly increasing per-slot nonce.
     if (slotId == 0 || slotId >= kSmMaxSessions ||
         nonce <= sessions_[slotId].openNonce ||
-        mac != regchan::sessionOpenMac(
-                   base.macKey, static_cast<uint32_t>(slotId), nonce)) {
+        !crypto::macEqual(
+            mac, regchan::sessionOpenMac(
+                     base.macKey, static_cast<uint32_t>(slotId), nonce))) {
         ++statBatchRejected_;
         status_ = kSmStatusRejected;
         return;

@@ -1,7 +1,5 @@
 #include "salus/user_client.hpp"
 
-#include <algorithm>
-
 #include "common/errors.hpp"
 #include "common/serde.hpp"
 #include "crypto/aes_gcm.hpp"
@@ -25,24 +23,19 @@ UserClient::deployAndAttest()
 {
     obs::Span span(obs::Category::Attestation, "deploy_and_attest");
     Outcome out;
-    int maxAttempts = std::max(1, config_.retry.maxAttempts);
-    for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
-        if (attempt > 1) {
-            sim_.spend(net::kRetryBackoffPhase,
-                       config_.retry.backoffBefore(attempt));
-        }
+    // Security rejections and broker policy verdicts are both
+    // deterministic: retrying replays the same request into the same
+    // refusal, so neither class is ever retried.
+    out.attempts = config_.retry.run(sim_.clock, 1, [&](int) {
         out = attemptOnce();
-        out.attempts = attempt;
-        // Security rejections and broker policy verdicts are both
-        // deterministic: retrying replays the same request into the
-        // same refusal, so neither class is ever retried.
-        if (out.ok || out.failureClass == net::FailureClass::Security ||
-            out.failureClass == net::FailureClass::Policy)
-            return out;
+        return net::isTerminal(out.failureClass);
+    });
+    if (!net::isTerminal(out.failureClass)) {
+        if (config_.retry.enabled())
+            out.failure += " (after " + std::to_string(out.attempts) +
+                           " attempts)";
+        out.failureClass = config_.retry.settle(out.failureClass);
     }
-    if (maxAttempts > 1)
-        out.failure += " (after " + std::to_string(maxAttempts) +
-                       " attempts)";
     return out;
 }
 
@@ -50,7 +43,13 @@ UserClient::Outcome
 UserClient::attemptOnce()
 {
     obs::Span span(obs::Category::Attestation, "ra_attempt");
+    using net::FailureClass;
     Outcome out;
+    auto failed = [&out](FailureClass cls, std::string why) {
+        out.failure = std::move(why);
+        out.failureClass = cls;
+        return out;
+    };
     PhaseScope phase(sim_, phases::kUserRa);
 
     // --- ② RA request (single round trip, Fig. 4b) -------------------
@@ -60,49 +59,35 @@ UserClient::attemptOnce()
     req.clientNonce = rng_.bytes(32);
     req.metadata = config_.metadata.serialize();
 
-    Bytes respBytes;
-    try {
-        respBytes = network_.call(config_.selfEndpoint,
-                                  config_.cloudEndpoint, "raRequest",
-                                  req.serialize(), phases::kUserRa,
-                                  config_.retry.deadline);
-    } catch (const TimeoutError &e) {
-        out.failure = std::string("RA timed out: ") + e.what();
-        out.failureClass = net::FailureClass::Timeout;
-        return out;
-    } catch (const PolicyError &e) {
-        // A broker fronting the cloud host refused admission
-        // (quota/rate/overload). Non-retryable: the verdict is
-        // deterministic until capacity frees or virtual time passes.
-        out.failure = std::string("deployment refused by policy: ") +
-                      e.what();
-        out.failureClass = net::FailureClass::Policy;
-        return out;
-    } catch (const NetError &e) {
-        out.failure = std::string("RA transport failure: ") + e.what();
-        out.failureClass = net::FailureClass::Transport;
-        return out;
+    net::CallOutcome ra = network_.callOnce(
+        config_.selfEndpoint, config_.cloudEndpoint, "raRequest",
+        req.serialize(), phases::kUserRa, config_.retry.deadline);
+    if (!ra.ok()) {
+        // A broker fronting the cloud host may refuse admission
+        // (quota/rate/overload): a Policy verdict, never retried.
+        const char *what = ra.failure == FailureClass::Timeout
+                               ? "RA timed out: "
+                           : ra.failure == FailureClass::Policy
+                               ? "deployment refused by policy: "
+                               : "RA transport failure: ";
+        return failed(ra.failure, what + ra.error);
     }
+    Bytes respBytes = std::move(ra.response);
 
     RaResponse resp;
     tee::Quote quote;
     try {
         resp = RaResponse::deserialize(respBytes);
-        if (!resp.failure.empty()) {
-            out.failure = "platform reported: " + resp.failure;
-            out.failureClass = resp.retryable
-                                   ? net::FailureClass::Transport
-                                   : net::FailureClass::Security;
-            return out;
-        }
+        if (!resp.failure.empty())
+            return failed(resp.retryable ? FailureClass::Transport
+                                         : FailureClass::Security,
+                          "platform reported: " + resp.failure);
         quote = tee::Quote::deserialize(resp.quote);
     } catch (const SalusError &) {
         // A response we cannot even parse was garbled in flight (or
         // forged — in which case retrying is equally useless and
         // equally safe, since nothing was accepted).
-        out.failure = "malformed RA response";
-        out.failureClass = net::FailureClass::Transport;
-        return out;
+        return failed(FailureClass::Transport, "malformed RA response");
     }
 
     // --- verify the quote via the (WAN) verification service ---------
@@ -114,27 +99,19 @@ UserClient::attemptOnce()
                                           16384));
     }
     tee::QuoteVerdict verdict = qvs_.verify(quote);
-    if (!verdict.ok) {
-        out.failure = "quote verification failed: " + verdict.reason;
-        out.failureClass = net::FailureClass::Security;
-        return out;
-    }
-    if (verdict.body.mrenclave != config_.expectedUserEnclave) {
-        out.failure = "user enclave measurement mismatch";
-        out.failureClass = net::FailureClass::Security;
-        return out;
-    }
+    if (!verdict.ok)
+        return failed(FailureClass::Security,
+                      "quote verification failed: " + verdict.reason);
+    if (verdict.body.mrenclave != config_.expectedUserEnclave)
+        return failed(FailureClass::Security,
+                      "user enclave measurement mismatch");
     if (!config_.expectedUserSigner.empty() &&
-        verdict.body.mrsigner != config_.expectedUserSigner) {
-        out.failure = "user enclave signer (MRSIGNER) mismatch";
-        out.failureClass = net::FailureClass::Security;
-        return out;
-    }
-    if (verdict.body.isvSvn < config_.minUserIsvSvn) {
-        out.failure = "user enclave security version too old";
-        out.failureClass = net::FailureClass::Security;
-        return out;
-    }
+        verdict.body.mrsigner != config_.expectedUserSigner)
+        return failed(FailureClass::Security,
+                      "user enclave signer (MRSIGNER) mismatch");
+    if (verdict.body.isvSvn < config_.minUserIsvSvn)
+        return failed(FailureClass::Security,
+                      "user enclave security version too old");
 
     // --- check the cascaded binding -----------------------------------
     // The report data must prove that THIS nonce, THIS metadata, the
@@ -143,11 +120,9 @@ UserClient::attemptOnce()
     Bytes expect = tee::padReportData(cascadedReportData(
         req.clientNonce, config_.metadata.digest(), config_.expectedSm,
         true, true, resp.wrapPubKey));
-    if (verdict.body.reportData != expect) {
-        out.failure = "cascaded report binding mismatch";
-        out.failureClass = net::FailureClass::Security;
-        return out;
-    }
+    if (verdict.body.reportData != expect)
+        return failed(FailureClass::Security,
+                      "cascaded report binding mismatch");
 
     // --- upload the data key, wrapped to the attested enclave --------
     out.dataKey = rng_.bytes(32);
@@ -161,9 +136,7 @@ UserClient::attemptOnce()
         // The wrap key is attested (bound in the report data), so a
         // bad one got past verification — a security problem, not a
         // transport one.
-        out.failure = "bad enclave wrap key";
-        out.failureClass = net::FailureClass::Security;
-        return out;
+        return failed(FailureClass::Security, "bad enclave wrap key");
     }
     crypto::AesGcm gcm(wrapKey);
     secureZero(wrapKey);
@@ -181,22 +154,19 @@ UserClient::attemptOnce()
     net::CallOutcome upload = network_.callWithRetry(
         config_.selfEndpoint, config_.cloudEndpoint, "dataKey", w.data(),
         config_.retry, phases::kUserRa);
-    if (!upload.ok()) {
-        out.failure = "data key upload failed: " + upload.error;
-        out.failureClass = upload.failure;
-        return out;
-    }
+    if (!upload.ok())
+        return failed(upload.failure,
+                      "data key upload failed: " + upload.error);
     if (upload.response.size() != 1 || upload.response[0] != 1) {
         // GCM authentication inside the enclave rejects a garbled
         // blob; the key was NOT accepted, so a fresh outer attempt
         // (with fresh key material) is safe.
-        out.failure = "enclave did not accept the data key";
-        out.failureClass = net::FailureClass::Transport;
-        return out;
+        return failed(FailureClass::Transport,
+                      "enclave did not accept the data key");
     }
 
     out.ok = true;
-    out.failureClass = net::FailureClass::None;
+    out.failureClass = FailureClass::None;
     return out;
 }
 

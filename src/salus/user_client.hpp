@@ -64,9 +64,9 @@ class UserClient
     /**
      * Runs the full cascaded attestation (paper Fig. 4b) and, on
      * success, uploads a fresh data key to the user enclave.
-     * Transport-class failures are retried per config.retry, each
-     * attempt with a fresh nonce; security rejections return
-     * immediately and are never retried.
+     * Transport-class failures are retried per config.retry with a
+     * fresh nonce each (a spent schedule reports Persistent); security
+     * rejections return immediately and are never retried.
      */
     Outcome deployAndAttest();
 

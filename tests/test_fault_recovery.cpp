@@ -409,6 +409,98 @@ TEST(FaultRecovery, TamperingIsNeverRetriedIntoAcceptance)
     EXPECT_EQ(tb->userApp().secureRead(0x20), 13u);
 }
 
+// ------------------------------------- one classifier, two callers
+
+namespace {
+
+enum class RaFault { DropAll, DelayPastDeadline, Refuse };
+
+struct ClassifierCase
+{
+    const char *name;
+    RaFault fault;
+    bool retries;
+    net::FailureClass expect;
+};
+
+void
+PrintTo(const ClassifierCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+std::unique_ptr<core::Testbed>
+raFaultTestbed(RaFault fault)
+{
+    core::TestbedConfig cfg;
+    if (fault == RaFault::DropAll)
+        cfg.faultPlan.add(sim::FaultRule::dropRpc(1.0).match("raRequest"));
+    if (fault == RaFault::DelayPastDeadline)
+        cfg.faultPlan.add(
+            sim::FaultRule::delayRpc(1.0, 10 * sim::kSec).match("raRequest"));
+    auto tb = makeTestbed(std::move(cfg));
+    if (fault == RaFault::Refuse)
+        tb->network().on(core::endpoints::kCloudHost, "raRequest",
+                         [](ByteView) -> Bytes {
+                             throw QuotaExceeded("deployment quota reached");
+                         });
+    return tb;
+}
+
+} // namespace
+
+class OneClassifier : public ::testing::TestWithParam<ClassifierCase>
+{};
+
+TEST_P(OneClassifier, NetworkAndUserClientAgree)
+{
+    const ClassifierCase &c = GetParam();
+    net::RetryPolicy policy = c.retries ? net::RetryPolicy::standard()
+                                        : net::RetryPolicy::none();
+    policy.deadline = 1 * sim::kSec;
+    // A policy verdict stops the schedule at once; the other faults
+    // spend it.
+    int attempts = c.fault == RaFault::Refuse ? 1 : policy.maxAttempts;
+
+    auto rpcTb = raFaultTestbed(c.fault);
+    net::CallOutcome rpc = rpcTb->network().callWithRetry(
+        core::endpoints::kUserClient, core::endpoints::kCloudHost,
+        "raRequest", Bytes{}, policy, core::phases::kUserRa);
+    EXPECT_EQ(rpc.failure, c.expect) << rpc.error;
+    EXPECT_EQ(rpc.attempts, attempts);
+
+    auto deployTb = raFaultTestbed(c.fault);
+    core::UserClient::Outcome deploy = deployTb->runDeployment(
+        [&](core::ClientConfig &cfg) { cfg.retry = policy; });
+    EXPECT_FALSE(deploy.ok);
+    EXPECT_EQ(deploy.failureClass, c.expect) << deploy.failure;
+    EXPECT_EQ(deploy.attempts, attempts);
+    if (c.fault == RaFault::Refuse) {
+        EXPECT_NE(deploy.failure.find("refused by policy"),
+                  std::string::npos);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RaFaults, OneClassifier,
+    ::testing::Values(
+        ClassifierCase{"DropAll", RaFault::DropAll, false,
+                       net::FailureClass::Transport},
+        ClassifierCase{"DropAllRetried", RaFault::DropAll, true,
+                       net::FailureClass::Persistent},
+        ClassifierCase{"DelayPastDeadline", RaFault::DelayPastDeadline,
+                       false, net::FailureClass::Timeout},
+        ClassifierCase{"DelayPastDeadlineRetried",
+                       RaFault::DelayPastDeadline, true,
+                       net::FailureClass::Persistent},
+        ClassifierCase{"Refuse", RaFault::Refuse, false,
+                       net::FailureClass::Policy},
+        ClassifierCase{"RefuseRetried", RaFault::Refuse, true,
+                       net::FailureClass::Policy}),
+    [](const ::testing::TestParamInfo<ClassifierCase> &info) {
+        return std::string(info.param.name);
+    });
+
 // -------------------------------------------------- network substrate
 
 namespace {
@@ -495,11 +587,6 @@ TEST(NetFaults, ExhaustedRetriesReportLastContext)
     NetRig rig(std::move(plan));
 
     net::RetryPolicy policy = net::RetryPolicy::standard();
-    bool exhaustedHookFired = false;
-    policy.onExhausted = [&](const ErrorContext &ctx) {
-        exhaustedHookFired = true;
-        EXPECT_EQ(ctx.attempt, policy.maxAttempts);
-    };
     auto out = rig.net.callWithRetry("a", "b", "ping", Bytes{1},
                                      policy);
     EXPECT_FALSE(out.ok());
@@ -507,7 +594,6 @@ TEST(NetFaults, ExhaustedRetriesReportLastContext)
     // the caller must stop hammering and let the fleet supervisor
     // decide (failover, quarantine).
     EXPECT_EQ(out.failure, net::FailureClass::Persistent);
-    EXPECT_TRUE(exhaustedHookFired);
     EXPECT_EQ(out.attempts, policy.maxAttempts);
     EXPECT_EQ(out.context.attempt, policy.maxAttempts);
     EXPECT_NE(out.error.find("attempts"), std::string::npos);
@@ -595,18 +681,58 @@ TEST(RetryPolicy, BackoffDeterministicAndBounded)
     for (int attempt = 2; attempt <= 10; ++attempt) {
         sim::Nanos a = p.backoffBefore(attempt);
         EXPECT_EQ(a, p.backoffBefore(attempt)) << attempt;
-        EXPECT_GE(a, sim::Nanos(double(p.initialBackoff) *
-                                (1.0 - p.jitterFraction)));
-        EXPECT_LE(a, sim::Nanos(double(p.maxBackoff) *
-                                (1.0 + p.jitterFraction)));
+        // 50 ms initial backoff, 2 s cap, +/-25% jitter.
+        EXPECT_GE(a, sim::Nanos(double(50 * sim::kMs) * 0.75));
+        EXPECT_LE(a, sim::Nanos(double(2 * sim::kSec) * 1.25));
     }
-    // Jitter decorrelates the attempts of different sessions.
-    net::RetryPolicy q = p;
-    q.jitterSeed = p.jitterSeed + 1;
-    EXPECT_NE(p.backoffBefore(2), q.backoffBefore(2));
 
     EXPECT_FALSE(net::RetryPolicy::none().enabled());
     EXPECT_TRUE(p.enabled());
+}
+
+TEST(RetryPolicy, StandardScheduleIsPinned)
+{
+    // The exact waits every retried call, boot and channel op charges:
+    // the virtual-time results of every retried run depend on them.
+    const sim::Nanos expect[] = {0,         53404217,  84039864,
+                                 222874413, 452239275, 757101693};
+    for (int attempt = 1; attempt <= 6; ++attempt)
+        EXPECT_EQ(net::RetryPolicy::standard().backoffBefore(attempt),
+                  expect[attempt - 1])
+            << attempt;
+}
+
+TEST(RetryPolicy, RunChargesBackoffAndStopsWhenDone)
+{
+    sim::VirtualClock clock;
+    net::RetryPolicy p = net::RetryPolicy::standard();
+
+    // Never done: every attempt of the schedule runs, and the backoff
+    // before attempts 2..4 lands on the retry phase.
+    int calls = 0;
+    int attempts = p.run(&clock, 1, [&](int n) {
+        EXPECT_EQ(n, ++calls);
+        return false;
+    });
+    EXPECT_EQ(attempts, 4);
+    EXPECT_EQ(calls, 4);
+    sim::Nanos waited = 0;
+    for (int n = 2; n <= 4; ++n)
+        waited += net::RetryPolicy::backoffBefore(n);
+    EXPECT_EQ(clock.totalFor(net::kRetryBackoffPhase), waited);
+
+    // Done at once: one attempt, no backoff.
+    EXPECT_EQ(p.run(&clock, 1, [](int) { return true; }), 1);
+    EXPECT_EQ(clock.totalFor(net::kRetryBackoffPhase), waited);
+
+    // minAttempts lifts a retries-off schedule (clockless callers pass
+    // nullptr), and a schedule below one attempt still runs once.
+    EXPECT_EQ(net::RetryPolicy::none().run(nullptr, 2,
+                                           [](int) { return false; }),
+              2);
+    net::RetryPolicy zero;
+    zero.maxAttempts = 0;
+    EXPECT_EQ(zero.run(&clock, 1, [](int) { return false; }), 1);
 }
 
 TEST(RetryPolicy, ErrorContextDescribesTheSite)
