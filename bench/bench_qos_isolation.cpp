@@ -84,7 +84,7 @@ runOnce(uint64_t seed, bool contended)
     if (!tb.runDeployment().ok)
         return r;
 
-    Broker broker(tb);
+    Broker broker(tb, {});
     TenantPolicy lightPolicy;
     lightPolicy.weight = 1;
     lightPolicy.maxQueuedOps = 128;

@@ -50,15 +50,6 @@ AccelIp::writeRegister(uint32_t addr, uint64_t value)
 }
 
 void
-AccelIp::reset()
-{
-    status_ = kAccStatusIdle;
-    inputAddr_ = inputLen_ = outputAddr_ = 0;
-    flags_ = jobId_ = outputLen_ = ops_ = 0;
-    secureZero(key_, sizeof(key_));
-}
-
-void
 AccelIp::run()
 {
     try {

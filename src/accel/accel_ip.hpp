@@ -63,7 +63,6 @@ class AccelIp : public fpga::IpBehavior
 
     uint64_t readRegister(uint32_t addr) override;
     void writeRegister(uint32_t addr, uint64_t value) override;
-    void reset() override;
 
     /** Registers all five kernels in the IP catalog (idempotent). */
     static void registerAll();

@@ -122,16 +122,6 @@ LoadedDesign::behaviorAt(const std::string &cellPath)
     return nullptr;
 }
 
-std::vector<std::string>
-LoadedDesign::behaviorPaths() const
-{
-    std::vector<std::string> out;
-    out.reserve(behaviors_.size());
-    for (const auto &[path, behavior] : behaviors_)
-        out.push_back(path);
-    return out;
-}
-
 FpgaDevice::FpgaDevice(DeviceModelInfo model, DeviceDna dna)
     : model_(std::move(model)), dna_(dna), dram_(model_.dramBytes),
       configMem_(size_t(model_.totalFrames) * model_.frameSize, 0)

@@ -90,10 +90,6 @@ class LoadedDesign
 
     /** Behaviour instance for a logic cell; nullptr if absent. */
     IpBehavior *behaviorAt(const std::string &cellPath);
-
-    /** Paths of all instantiated logic cells in design order. */
-    std::vector<std::string> behaviorPaths() const;
-
   private:
     netlist::Netlist design_;
     std::vector<std::pair<std::string, std::unique_ptr<IpBehavior>>>
@@ -187,7 +183,6 @@ class FpgaDevice
     /** Fleet position of this device; scopes device-targeted fault
      *  rules (DeviceDead kills loads too, SEUs can be per-device). */
     void setDeviceIndex(uint32_t index) { deviceIndex_ = index; }
-    uint32_t deviceIndex() const { return deviceIndex_; }
 
   private:
     /** Drains scheduled SEUs from the fault plan into config memory. */

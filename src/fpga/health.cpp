@@ -2,22 +2,6 @@
 
 namespace salus::fpga {
 
-const char *
-healthStateName(HealthState state)
-{
-    switch (state) {
-      case HealthState::Healthy:
-        return "healthy";
-      case HealthState::Degraded:
-        return "degraded";
-      case HealthState::Quarantined:
-        return "quarantined";
-      case HealthState::Probation:
-        return "probation";
-    }
-    return "?";
-}
-
 HealthTracker::HealthTracker(HealthPolicy policy) : policy_(policy)
 {
 }

@@ -42,8 +42,6 @@ enum class HealthState : uint8_t {
     Probation,   ///< cool-down served; earning reinstatement
 };
 
-const char *healthStateName(HealthState state);
-
 /** Circuit-breaker tuning. */
 struct HealthPolicy
 {

@@ -27,12 +27,6 @@ IpCatalog::registerIp(uint32_t behaviorId, IpFactory factory)
     factories_[behaviorId] = std::move(factory);
 }
 
-bool
-IpCatalog::knows(uint32_t behaviorId) const
-{
-    return factories_.count(behaviorId) != 0;
-}
-
 std::unique_ptr<IpBehavior>
 IpCatalog::instantiate(const netlist::Cell &cell,
                        const netlist::Netlist &design,
@@ -71,13 +65,6 @@ class LoopbackIp : public IpBehavior
         uint32_t idx = addr / 8;
         if (idx < 16)
             regs_[idx] = value;
-    }
-
-    void
-    reset() override
-    {
-        for (auto &r : regs_)
-            r = 0;
     }
 
   private:

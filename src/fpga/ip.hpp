@@ -55,9 +55,6 @@ class IpBehavior
   public:
     virtual ~IpBehavior() = default;
 
-    /** Reset to the post-configuration state. */
-    virtual void reset() {}
-
     /** Register read; unknown addresses return 0 (AXI DECERR analog). */
     virtual uint64_t readRegister(uint32_t addr) = 0;
 
@@ -86,9 +83,6 @@ class IpCatalog
 
     /** Registers (or replaces) a behaviour implementation. */
     void registerIp(uint32_t behaviorId, IpFactory factory);
-
-    /** True when an implementation exists for the id. */
-    bool knows(uint32_t behaviorId) const;
 
     /**
      * Instantiates the behaviour for a logic cell.

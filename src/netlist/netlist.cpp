@@ -16,13 +16,6 @@ ResourceVector::operator+=(const ResourceVector &o)
     return *this;
 }
 
-ResourceVector
-operator+(ResourceVector a, const ResourceVector &b)
-{
-    a += b;
-    return a;
-}
-
 bool
 ResourceVector::fitsWithin(const ResourceVector &capacity) const
 {

@@ -39,9 +39,6 @@ struct ResourceVector
     bool fitsWithin(const ResourceVector &capacity) const;
 };
 
-/** Component-wise sum. */
-ResourceVector operator+(ResourceVector a, const ResourceVector &b);
-
 /** Kind of a netlist cell. */
 enum class CellKind : uint8_t {
     Logic = 0, ///< behavioural logic block (references the IP catalog)

@@ -109,21 +109,19 @@ MetricsRegistry::renderText() const
 }
 
 bool
-MetricsRegistry::writeText(const std::string &path) const
+writeFile(const std::string &path, std::string_view bytes)
 {
-    FILE *f = std::fopen(path.c_str(), "w");
+    std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
         return false;
-    std::string text = renderText();
-    size_t written = std::fwrite(text.data(), 1, text.size(), f);
-    return std::fclose(f) == 0 && written == text.size();
+    size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+    return std::fclose(f) == 0 && written == bytes.size();
 }
 
-void
-MetricsRegistry::clear()
+bool
+MetricsRegistry::writeText(const std::string &path) const
 {
-    counters_.clear();
-    histograms_.clear();
+    return writeFile(path, renderText());
 }
 
 } // namespace salus::obs

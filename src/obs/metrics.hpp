@@ -37,6 +37,10 @@ struct Histogram
     void observe(uint64_t value);
 };
 
+/** Writes `bytes` to the file at `path`: the one writer for every obs
+ *  artifact. @return false unless every byte reached the file. */
+bool writeFile(const std::string &path, std::string_view bytes);
+
 /** Registry of counters and histograms with a deterministic dump. */
 class MetricsRegistry
 {
@@ -68,8 +72,6 @@ class MetricsRegistry
 
     /** Writes renderText() to a file. @return false on I/O error. */
     bool writeText(const std::string &path) const;
-
-    void clear();
 
     /** Default bounds for observe() auto-registration: powers of two
      *  1..4096 (suited to op counts and queue depths). */

@@ -211,12 +211,7 @@ TraceRecorder::chromeTraceJson() const
 bool
 TraceRecorder::writeChromeTrace(const std::string &path) const
 {
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::string json = chromeTraceJson();
-    size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    return std::fclose(f) == 0 && written == json.size();
+    return writeFile(path, chromeTraceJson());
 }
 
 // ---- Global enablement ------------------------------------------------

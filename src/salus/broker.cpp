@@ -2,16 +2,11 @@
 
 #include <algorithm>
 
-#include "common/serde.hpp"
 #include "obs/trace.hpp"
 
 namespace salus::core {
 
 namespace {
-
-/** Wire magic + version for BrokerRequest (PROTOCOLS.md §19). */
-constexpr uint16_t kBrokerMagic = 0xb50c;
-constexpr uint8_t kBrokerVersion = 1;
 
 void
 countTenant(uint32_t id, const char *counter, uint64_t delta = 1)
@@ -22,54 +17,6 @@ countTenant(uint32_t id, const char *counter, uint64_t delta = 1)
 }
 
 } // namespace
-
-Bytes
-BrokerRequest::serialize() const
-{
-    BinaryWriter w;
-    w.writeU16(kBrokerMagic);
-    w.writeU8(kBrokerVersion);
-    w.writeU8(uint8_t(kind));
-    w.writeU32(tenant);
-    w.writeU32(session);
-    if (kind == Kind::SubmitOp) {
-        w.writeU8(op.isWrite ? 1 : 0);
-        w.writeU32(op.addr);
-        w.writeU64(op.data);
-    }
-    return w.take();
-}
-
-BrokerRequest
-BrokerRequest::deserialize(ByteView data)
-{
-    BinaryReader r(data);
-    if (r.readU16() != kBrokerMagic)
-        throw SerdeError("broker request: bad magic");
-    if (r.readU8() != kBrokerVersion)
-        throw SerdeError("broker request: unsupported version");
-    uint8_t kind = r.readU8();
-    if (kind < uint8_t(Kind::OpenSession) ||
-        kind > uint8_t(Kind::CloseSession))
-        throw SerdeError("broker request: unknown kind");
-    BrokerRequest req;
-    req.kind = Kind(kind);
-    req.tenant = r.readU32();
-    req.session = r.readU32();
-    if (req.kind == Kind::SubmitOp) {
-        uint8_t rw = r.readU8();
-        if (rw > 1)
-            throw SerdeError("broker request: bad op direction");
-        req.op.isWrite = rw == 1;
-        req.op.addr = r.readU32();
-        req.op.data = r.readU64();
-    }
-    if (!r.atEnd())
-        throw SerdeError("broker request: trailing bytes");
-    return req;
-}
-
-Broker::Broker(Testbed &tb) : Broker(tb, Config()) {}
 
 Broker::Broker(Testbed &tb, Config config)
     : tb_(tb), config_(config)
@@ -292,45 +239,6 @@ Broker::submit(uint32_t tenant, uint32_t session,
                      std::to_string(session));
 }
 
-Broker::Response
-Broker::handle(const BrokerRequest &req)
-{
-    Response resp;
-    if (!tenants_.count(req.tenant)) {
-        resp.status = kBrokerUnknownTenant;
-        resp.detail = "unknown tenant " + std::to_string(req.tenant);
-        return resp;
-    }
-    try {
-        switch (req.kind) {
-          case BrokerRequest::Kind::OpenSession:
-            resp.session = openSession(req.tenant);
-            return resp;
-          case BrokerRequest::Kind::SubmitOp:
-            submit(req.tenant, req.session, req.op);
-            return resp;
-          case BrokerRequest::Kind::CloseSession:
-            closeSession(req.tenant, req.session);
-            return resp;
-        }
-        resp.status = kBrokerBadRequest;
-        resp.detail = "unknown request kind";
-    } catch (const QuotaExceeded &e) {
-        resp.status = kBrokerQuotaExceeded;
-        resp.detail = e.what();
-    } catch (const RateLimited &e) {
-        resp.status = kBrokerRateLimited;
-        resp.detail = e.what();
-    } catch (const Overloaded &e) {
-        resp.status = kBrokerOverloaded;
-        resp.detail = e.what();
-    } catch (const SalusError &e) {
-        resp.status = kBrokerBadRequest;
-        resp.detail = e.what();
-    }
-    return resp;
-}
-
 void
 Broker::updateShedding()
 {
@@ -396,12 +304,6 @@ Broker::tenantStats(uint32_t tenant) const
     return tenantRef(tenant).stats;
 }
 
-const TenantPolicy &
-Broker::tenantPolicy(uint32_t tenant) const
-{
-    return tenantRef(tenant).policy;
-}
-
 bool
 Broker::tenantShed(uint32_t tenant) const
 {
@@ -430,15 +332,6 @@ Broker::openSessions() const
     for (const auto &[id, t] : tenants_)
         total += t.sessions.size();
     return total;
-}
-
-uint32_t
-Broker::tenantByName(const std::string &name) const
-{
-    for (const auto &[id, t] : tenants_)
-        if (t.name == name)
-            return id;
-    return 0;
 }
 
 } // namespace salus::core

@@ -17,10 +17,6 @@
  *    NEW submissions only — in-flight secure ops are never dropped
  *    (dropping one would desynchronise the channel counters, which
  *    the threat model treats as an attack).
- *
- * The broker also speaks a small serialized request format
- * (BrokerRequest) so campaigns, fuzzers and remote front ends can
- * drive it without linking against the C++ API.
  */
 
 #ifndef SALUS_SALUS_BROKER_HPP
@@ -30,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "common/bytes.hpp"
 #include "salus/scheduler.hpp"
 #include "salus/testbed.hpp"
 
@@ -62,35 +57,6 @@ struct TenantStats
     uint64_t sessionsOpened = 0;
 };
 
-// Wire status codes for BrokerRequest responses (PROTOCOLS.md §19).
-constexpr uint8_t kBrokerOk = 0;
-constexpr uint8_t kBrokerQuotaExceeded = 0xe1;
-constexpr uint8_t kBrokerRateLimited = 0xe2;
-constexpr uint8_t kBrokerOverloaded = 0xe3;
-constexpr uint8_t kBrokerUnknownTenant = 0xe4;
-constexpr uint8_t kBrokerBadRequest = 0xe5;
-
-/**
- * One serialized broker request (versioned; deserialize throws
- * SalusError on anything malformed — fuzzed in test_fuzz.cpp).
- */
-struct BrokerRequest
-{
-    enum class Kind : uint8_t {
-        OpenSession = 1,
-        SubmitOp = 2,
-        CloseSession = 3,
-    };
-
-    Kind kind = Kind::SubmitOp;
-    uint32_t tenant = 0;
-    uint32_t session = 0; ///< SubmitOp/CloseSession only
-    regchan::RegOp op;    ///< SubmitOp only
-
-    Bytes serialize() const;
-    static BrokerRequest deserialize(ByteView data);
-};
-
 /** Session broker over a Testbed (see file comment). */
 class Broker
 {
@@ -107,15 +73,6 @@ class Broker
 
     using Completion = BatchScheduler::Completion;
 
-    /** Typed handle() outcome (mirror of the wire status). */
-    struct Response
-    {
-        uint8_t status = kBrokerOk;
-        uint32_t session = 0; ///< OpenSession result
-        std::string detail;   ///< human-readable rejection reason
-    };
-
-    explicit Broker(Testbed &tb);
     Broker(Testbed &tb, Config config);
 
     /** Registers a tenant; @return its id (dense, starting at 1). */
@@ -144,11 +101,6 @@ class Broker
     void submit(uint32_t tenant, uint32_t session,
                 const regchan::RegOp &op, Completion done = nullptr);
 
-    /** Serialized front end: maps policy exceptions to wire codes
-     *  instead of throwing (malformed ids → kBrokerUnknownTenant /
-     *  kBrokerBadRequest). */
-    Response handle(const BrokerRequest &req);
-
     /**
      * One broker tick: recomputes the shed set from the current
      * backlog (deterministic — shedding changes ONLY here, never
@@ -162,7 +114,6 @@ class Broker
 
     // ---- Introspection ---------------------------------------------
     const TenantStats &tenantStats(uint32_t tenant) const;
-    const TenantPolicy &tenantPolicy(uint32_t tenant) const;
     /** True while the tenant is in the shed set. */
     bool tenantShed(uint32_t tenant) const;
     /** Ops currently queued for the tenant (across its sessions). */
@@ -172,8 +123,6 @@ class Broker
     /** Number of tenants currently shed (0 = fully recovered). */
     size_t shedLevel() const { return shedLevel_; }
     uint32_t tenantCount() const { return uint32_t(tenants_.size()); }
-    /** Tenant id by registered name (0 when unknown). */
-    uint32_t tenantByName(const std::string &name) const;
 
   private:
     struct Tenant

@@ -86,12 +86,10 @@ DeveloperKit::develop(const std::string &releaseName,
 
     ClDesign design =
         buildClDesign(releaseName + "_top", std::move(accelCell));
-    lastLayout_ = design.layout;
 
     bitstream::Compiler compiler(deviceModel.name);
     bitstream::CompiledDesign compiled =
         compiler.compile(design.netlist, *partition);
-    lastUtilization_ = compiled.utilization;
 
     ClMetadata meta;
     meta.digestH = crypto::Sha256::digest(compiled.file);

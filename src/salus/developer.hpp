@@ -66,19 +66,9 @@ class DeveloperKit
                        netlist::Cell accelCell,
                        const fpga::DeviceModelInfo &deviceModel,
                        uint32_t partitionId = 0);
-
-    /** Layout of the most recent develop() call (for tests). */
-    const ClLayout &lastLayout() const { return lastLayout_; }
-    const netlist::ResourceVector &lastUtilization() const
-    {
-        return lastUtilization_;
-    }
-
   private:
     std::string name_;
     crypto::Ed25519KeyPair identity_;
-    ClLayout lastLayout_;
-    netlist::ResourceVector lastUtilization_;
 };
 
 } // namespace salus::core

@@ -36,12 +36,6 @@ DmaDescriptor::sgBytes() const
     return total;
 }
 
-size_t
-dmaCtrBlocks(size_t bytes)
-{
-    return (bytes + kDmaBlock - 1) / kDmaBlock;
-}
-
 void
 cryptDmaPayload(const crypto::Aes &aes, bool read, uint64_t ctrBase,
                 uint8_t *data, size_t len)

@@ -115,9 +115,6 @@ struct DmaDescriptor
     size_t sgBytes() const;
 };
 
-/** Counter blocks a payload of `bytes` consumes. */
-size_t dmaCtrBlocks(size_t bytes);
-
 /** En/decrypts a DMA payload in place under the direction-separated
  *  CTR labels ("SDMAWRIT" host->device, "SDMAREAD" device->host).
  *  Borrows a caller-cached key schedule: one expansion per session,

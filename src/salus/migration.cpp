@@ -40,37 +40,4 @@ MigrationTicket::deserialize(ByteView data)
     return t;
 }
 
-Bytes
-MigrationRecord::serialize() const
-{
-    BinaryWriter w;
-    w.writeU32(fromDevice);
-    w.writeU32(toDevice);
-    w.writeU64(atNanos);
-    w.writeString(reason);
-    w.writeBytes(oldFingerprint);
-    w.writeBytes(newFingerprint);
-    w.writeU8(attested);
-    w.writeU64(parkedOps);
-    return w.take();
-}
-
-MigrationRecord
-MigrationRecord::deserialize(ByteView data)
-{
-    BinaryReader r(data);
-    MigrationRecord m;
-    m.fromDevice = r.readU32();
-    m.toDevice = r.readU32();
-    m.atNanos = r.readU64();
-    m.reason = r.readString();
-    m.oldFingerprint = r.readBytes();
-    m.newFingerprint = r.readBytes();
-    m.attested = r.readU8();
-    if (m.attested > 1)
-        throw SerdeError("bad migration flag");
-    m.parkedOps = r.readU64();
-    return m;
-}
-
 } // namespace salus::core

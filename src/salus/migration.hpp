@@ -60,9 +60,6 @@ struct MigrationRecord
     Bytes newFingerprint; ///< fresh secrets on the target
     uint8_t attested = 0; ///< cascaded attestation re-ran and passed
     uint64_t parkedOps = 0; ///< ops held parked through the move
-
-    Bytes serialize() const;
-    static MigrationRecord deserialize(ByteView data);
 };
 
 } // namespace salus::core

@@ -682,6 +682,9 @@ struct ScenarioExec
         out.completed = completedAll;
         out.shedLevelEnd = broker.shedLevel();
         out.seusInjected = tb.faultInjector().stats().seusInjected;
+        out.faultJournal = tb.faultInjector().journal();
+        for (uint32_t d = 0; d < tb.deviceCount(); ++d)
+            out.deviceHealth.push_back(tb.supervisor().state(d));
         out.clockEnd = tb.clock().now();
         // Every completed failover leaves a record, whether a poll or
         // a guarded op triggered it; a poll whose failover threw

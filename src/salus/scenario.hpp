@@ -163,6 +163,10 @@ struct ScenarioOutcome
     sim::Nanos clockEnd = 0;
     /** (tenant name, stats) in registration order. */
     std::vector<std::pair<std::string, TenantStats>> tenants;
+    /** Supervisor health of each pool device at the end. */
+    std::vector<fpga::HealthState> deviceHealth;
+    /** The fault injector's journal (FaultInjector::journal()). */
+    std::vector<std::string> faultJournal;
     /** Byte-comparable artifacts (same seed => identical). */
     std::string traceJson;
     std::string metricsText;

@@ -7,6 +7,15 @@
 
 namespace salus::core {
 
+namespace {
+
+/** Bulk DMA jobs a session may hold queued before submitDma()
+ *  refuses (each job can be megabytes, so the bound is much tighter
+ *  than the register-op queue's). */
+constexpr size_t kDmaQueueCapacity = 8;
+
+} // namespace
+
 BatchScheduler::BatchScheduler(Dispatch dispatch)
     : BatchScheduler(std::move(dispatch), Config())
 {
@@ -99,8 +108,7 @@ BatchScheduler::submitDma(uint32_t session, DmaJob job)
     if (it == sessions_.end())
         return Submit::UnknownSession;
     Session &s = it->second;
-    if (!dmaDispatch_ ||
-        s.dmaQueue.size() >= config_.dmaQueueCapacity) {
+    if (!dmaDispatch_ || s.dmaQueue.size() >= kDmaQueueCapacity) {
         ++stats_.rejectedBackpressure;
         ++s.stats.rejectedBackpressure;
         obs::count("scheduler.dma_backpressure");
@@ -325,13 +333,6 @@ BatchScheduler::release()
 {
     parked_ = false;
     obs::count("scheduler.release");
-}
-
-size_t
-BatchScheduler::queueDepth(uint32_t session) const
-{
-    auto it = sessions_.find(session);
-    return it == sessions_.end() ? 0 : it->second.queue.size();
 }
 
 size_t

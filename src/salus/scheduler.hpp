@@ -72,10 +72,6 @@ class BatchScheduler
     {
         /** Ops a session may hold queued before submit() refuses. */
         size_t queueCapacity = 256;
-        /** Bulk DMA jobs a session may hold queued before submitDma()
-         *  refuses (each job can be megabytes, so the bound is much
-         *  tighter than the register-op queue's). */
-        size_t dmaQueueCapacity = 8;
         /** Op credits one WEIGHT UNIT earns per sweep (so a session's
          *  per-sweep quantum is weight * maxBatchOps). */
         size_t maxBatchOps = 32;
@@ -217,7 +213,6 @@ class BatchScheduler
     void release();
     bool parked() const { return parked_; }
 
-    size_t queueDepth(uint32_t session) const;
     size_t totalQueued() const;
     const Stats &stats() const { return stats_; }
     /** Per-session counters (empty defaults for unknown sessions). */

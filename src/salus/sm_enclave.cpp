@@ -225,13 +225,6 @@ SmEnclaveApp::laConfirm(uint32_t peer, ByteView msg3)
     return ok;
 }
 
-bool
-SmEnclaveApp::laEstablished(uint32_t peer) const
-{
-    tee::LocalAttestResponder *la = peerLa(peer);
-    return la && la->established();
-}
-
 Bytes
 SmEnclaveApp::channelRequest(uint32_t peer, ByteView sealed)
 {
@@ -412,13 +405,12 @@ SmEnclaveApp::attemptSecureBoot(std::string &failure, bool &retryable)
         return false;
     status_.deployed = true;
     if (!attestCl(failure)) {
-        // Transient bus faults and configuration upsets both land
-        // here. A forged MAC can never pass by retrying, so a bounded
-        // redeploy-and-reattest loop is safe; probe with a scrub pass
-        // first in case a correctable SEU is the culprit.
+        // Transient bus faults land here. A forged MAC can never pass
+        // by retrying, so a bounded redeploy-and-reattest loop is
+        // safe. (A configuration upset cannot: the SM logic latches
+        // its keys when the partition is configured.)
         retryable = true;
-        if (!tryScrubRecovery(failure))
-            return false;
+        return false;
     }
     status_.attested = true;
     // Deployment complete: reserve a counter window and persist the
@@ -427,26 +419,6 @@ SmEnclaveApp::attemptSecureBoot(std::string &failure, bool &retryable)
     base.ctrReserve = base.ctr + kCtrReserveStride;
     commitJournal();
     return true;
-}
-
-bool
-SmEnclaveApp::tryScrubRecovery(std::string &failure)
-{
-    fpga::FpgaDevice::ScrubReport report;
-    try {
-        report = activeShell().scrubPartition();
-    } catch (const SalusError &) {
-        return false; // nothing configured to scrub
-    }
-    if (report.uncorrectable > 0) {
-        failure += " (uncorrectable configuration upsets)";
-        return false; // partition is down; the boot loop redeploys
-    }
-    if (report.corrected == 0)
-        return false;
-    logf(LogLevel::Info, "sm-enclave", "scrub corrected ",
-         report.corrected, " upset(s); re-attesting CL");
-    return attestCl(failure);
 }
 
 bool
@@ -716,11 +688,14 @@ SmEnclaveApp::rekeySession()
         // Either the command never reached the fabric (keys unchanged
         // on both sides) or only the completion was lost (the fabric
         // already rolled). Keep what we need to converge on the
-        // rolled keys if the channel starts rejecting us.
+        // rolled keys if the channel starts rejecting us, and persist
+        // it: a recovered SM holding only the pre-roll keys could
+        // never reach a fabric that rolled.
         ByteView current = secrets_.sessionMacKey();
         pendingRekeyMacKey_.assign(current.begin(), current.end());
         pendingRekeyNonce_ = nonce;
         havePendingRekey_ = true;
+        commitJournal();
         return false;
     }
 

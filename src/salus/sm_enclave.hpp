@@ -141,7 +141,6 @@ class SmEnclaveApp : public tee::Enclave
 
     Bytes laAnswer(uint32_t peer, ByteView msg1);
     bool laConfirm(uint32_t peer, ByteView msg3);
-    bool laEstablished(uint32_t peer) const;
 
     // ---- Sealed channel from the user enclave -----------------------
     /**
@@ -421,9 +420,6 @@ class SmEnclaveApp : public tee::Enclave
     bool fetchDeviceKey(std::string &failure, bool &retryable);
     bool deployCl(std::string &failure, bool &retryable);
     bool attestCl(std::string &failure);
-    /** Scrub probe after an attestation failure: corrects single-bit
-     *  upsets and re-attests; false = redeploy needed. */
-    bool tryScrubRecovery(std::string &failure);
     std::pair<uint8_t, uint64_t> secureRegOp(const regchan::RegOp &op);
     std::pair<uint8_t, uint64_t> secureRegOpOnce(const regchan::RegOp &op);
     void adoptPendingRekey();

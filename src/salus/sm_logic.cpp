@@ -56,19 +56,6 @@ SmLogic::connect(fpga::LoadedDesign &design)
     accel_ = design.behaviorAt(accelPath_);
 }
 
-void
-SmLogic::reset()
-{
-    status_ = kSmStatusIdle;
-    for (auto &v : in_)
-        v = 0;
-    for (auto &v : out_)
-        v = 0;
-    burstIn_.clear();
-    burstOut_.clear();
-    burstOutPos_ = 0;
-}
-
 uint64_t
 SmLogic::readRegister(uint32_t addr)
 {

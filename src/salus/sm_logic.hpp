@@ -112,7 +112,6 @@ class SmLogic : public fpga::IpBehavior
     uint64_t readRegister(uint32_t addr) override;
     void writeRegister(uint32_t addr, uint64_t value) override;
     void connect(fpga::LoadedDesign &design) override;
-    void reset() override;
 
     /** Registers the SM logic in the global IP catalog (idempotent). */
     static void registerIp();

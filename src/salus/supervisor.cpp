@@ -54,40 +54,14 @@ HeartbeatResponse::deserialize(ByteView data)
     return m;
 }
 
-Bytes
-FailoverRecord::serialize() const
-{
-    BinaryWriter w;
-    w.writeU32(fromDevice);
-    w.writeU32(toDevice);
-    w.writeU64(atNanos);
-    w.writeString(reason);
-    w.writeBytes(oldFingerprint);
-    w.writeBytes(newFingerprint);
-    w.writeU8(attested);
-    w.writeU32(attempts);
-    return w.take();
-}
-
-FailoverRecord
-FailoverRecord::deserialize(ByteView data)
-{
-    BinaryReader r(data);
-    FailoverRecord m;
-    m.fromDevice = r.readU32();
-    m.toDevice = r.readU32();
-    m.atNanos = r.readU64();
-    m.reason = r.readString();
-    m.oldFingerprint = r.readBytes();
-    m.newFingerprint = r.readBytes();
-    m.attested = r.readU8();
-    if (m.attested > 1)
-        throw SerdeError("bad failover flag");
-    m.attempts = r.readU32();
-    return m;
-}
-
 // ---- FleetSupervisor ------------------------------------------------
+
+namespace {
+
+/** Virtual time between two watchdog polls in runFor(). */
+constexpr sim::Nanos kProbePeriod = 10 * sim::kMs;
+
+} // namespace
 
 FleetSupervisor::FleetSupervisor(SupervisorDeps deps)
     : deps_(std::move(deps))
@@ -103,7 +77,7 @@ FleetSupervisor::pollOnce()
     obs::Span span(obs::Category::Supervisor, "poll");
     obs::count("supervisor.polls");
     ++polls_;
-    sim::Nanos now = deps_.clock ? deps_.clock->now() : 0;
+    sim::Nanos now = deps_.clock.now();
     for (uint32_t d = 0; d < deps_.deviceCount; ++d) {
         fpga::HealthTracker &t = trackers_[d];
         t.tick(now);
@@ -155,13 +129,9 @@ FleetSupervisor::pollOnce()
 void
 FleetSupervisor::runFor(sim::Nanos duration)
 {
-    if (!deps_.clock) {
-        pollOnce();
-        return;
-    }
-    sim::Nanos deadline = deps_.clock->now() + duration;
-    while (deps_.clock->now() < deadline) {
-        deps_.clock->spend("Fleet Heartbeat", deps_.probePeriod);
+    sim::Nanos deadline = deps_.clock.now() + duration;
+    while (deps_.clock.now() < deadline) {
+        deps_.clock.spend("Fleet Heartbeat", kProbePeriod);
         pollOnce();
     }
 }
@@ -175,7 +145,7 @@ FleetSupervisor::noteDeviceFailure(uint32_t deviceId,
     obs::mark(obs::Category::Supervisor, "device_failure",
               uint64_t(deviceId));
     obs::count("supervisor.device_failures");
-    sim::Nanos now = deps_.clock ? deps_.clock->now() : 0;
+    sim::Nanos now = deps_.clock.now();
     // Record-only: this is called from inside the SM enclave's
     // request path, where a synchronous failover (which re-runs the
     // whole deployment) would re-enter the channel. The next
@@ -257,7 +227,7 @@ FleetSupervisor::maybeFailover()
     obs::Span span(obs::Category::Supervisor, "failover",
                    uint64_t(*spare));
     obs::count("supervisor.failovers");
-    sim::Nanos startedAt = deps_.clock ? deps_.clock->now() : 0;
+    sim::Nanos startedAt = deps_.clock.now();
     failingOver_ = true;
     FailoverRecord rec;
     try {
@@ -312,7 +282,7 @@ FleetSupervisor::migrateActiveTo(uint32_t to, const std::string &reason)
     obs::Span span(obs::Category::Supervisor, "migration",
                    uint64_t(to));
     obs::count("supervisor.migrations");
-    sim::Nanos startedAt = deps_.clock ? deps_.clock->now() : 0;
+    sim::Nanos startedAt = deps_.clock.now();
     failingOver_ = true;
     MigrationRecord rec;
     try {
@@ -366,7 +336,7 @@ FleetSupervisor::drainForUpgrade(uint32_t device,
 
     // Hold the device out of service until the operator finishes the
     // upgrade; tick() will not offer probation during maintenance.
-    sim::Nanos now = deps_.clock ? deps_.clock->now() : 0;
+    sim::Nanos now = deps_.clock.now();
     trackers_[device].beginMaintenance(now, reason);
     return moved;
 }
@@ -376,7 +346,7 @@ FleetSupervisor::completeUpgrade(uint32_t device)
 {
     if (device >= trackers_.size())
         return;
-    sim::Nanos now = deps_.clock ? deps_.clock->now() : 0;
+    sim::Nanos now = deps_.clock.now();
     trackers_[device].endMaintenance(now);
 }
 

@@ -76,20 +76,18 @@ struct FailoverRecord
     Bytes newFingerprint; ///< fresh secrets on the spare
     uint8_t attested = 0; ///< cascaded attestation re-ran and passed
     uint32_t attempts = 0;
-
-    Bytes serialize() const;
-    static FailoverRecord deserialize(ByteView data);
 };
 
 /** Wiring between the supervisor and the rest of the testbed. */
 struct SupervisorDeps
 {
-    sim::VirtualClock *clock = nullptr;
+    explicit SupervisorDeps(sim::VirtualClock &c) : clock(c) {}
+
+    sim::VirtualClock &clock;
     /** Consulted per probe for heartbeat-loss faults. */
     sim::FaultInjector *injector = nullptr;
     uint32_t deviceCount = 1;
     fpga::HealthPolicy health;
-    sim::Nanos probePeriod = 10 * sim::kMs;
     /** Probes one device (RPC into the SM enclave host). */
     std::function<SmEnclaveApp::HeartbeatResult(uint32_t)> probe;
     /** Performs the failover (SM device switch + full re-deployment
@@ -119,7 +117,7 @@ class FleetSupervisor
     void pollOnce();
 
     /** Runs the watchdog for a span of virtual time, one poll every
-     *  probePeriod. */
+     *  10 ms. */
     void runFor(sim::Nanos duration);
 
     /**

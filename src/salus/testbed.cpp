@@ -10,11 +10,6 @@
 
 namespace salus::core {
 
-TestbedConfig::TestbedConfig()
-    : userImage(UserEnclaveApp::defaultImage())
-{
-}
-
 Testbed::Testbed(TestbedConfig config) : config_(std::move(config))
 {
     rng_ = std::make_unique<crypto::CtrDrbg>(config_.rngSeed);
@@ -43,19 +38,19 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config))
         slot.device->setFaultInjector(injector_.get());
         if (config_.maliciousShell) {
             auto mal = std::make_unique<shell::MaliciousShell>(
-                *slot.device, clock_, config_.cost, config_.attackPlan);
+                *slot.device, clock_, cost_, config_.attackPlan);
             slot.malicious = mal.get();
             slot.shell = std::move(mal);
         } else {
             slot.shell = std::make_unique<shell::Shell>(
-                *slot.device, clock_, config_.cost);
+                *slot.device, clock_, cost_);
         }
         slot.shell->setDeviceIndex(i);
         slot.shell->setFaultInjector(injector_.get());
         slots_.push_back(std::move(slot));
     }
 
-    network_ = std::make_unique<net::Network>(clock_, config_.cost);
+    network_ = std::make_unique<net::Network>(clock_, cost_);
     network_->setFaultInjector(injector_.get());
     network_->addEndpoint(endpoints::kUserClient);
     network_->addEndpoint(endpoints::kCloudHost);
@@ -73,12 +68,10 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config))
     addUser(0);
 
     // --- fleet supervisor --------------------------------------------
-    SupervisorDeps supDeps;
-    supDeps.clock = &clock_;
+    SupervisorDeps supDeps(clock_);
     supDeps.injector = injector_.get();
     supDeps.deviceCount = count;
     supDeps.health = config_.health;
-    supDeps.probePeriod = config_.heartbeatPeriod;
     supDeps.probe = [this](uint32_t deviceId) {
         HeartbeatRequest req;
         req.deviceId = deviceId;
@@ -124,11 +117,11 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config))
                      // Server-side quote verification (DCAP collateral
                      // fetched over the intra-cloud link).
                      clock_.spend(phases::kDeviceKeyDist,
-                                  config_.cost.quoteVerification +
-                                      config_.cost.keyEscrowProcessing +
-                                      sim::Nanos(config_.cost
-                                                     .dcapCollateralRoundTrips) *
-                                          config_.cost.rpc(
+                                  cost_.quoteVerification +
+                                      cost_.keyEscrowProcessing +
+                                      sim::Nanos(
+                                          cost_.dcapCollateralRoundTrips) *
+                                          cost_.rpc(
                                               sim::LinkKind::IntraCloud,
                                               2048, 16384));
                      manufacturer::KeyRequest parsed;
@@ -181,7 +174,7 @@ Testbed::~Testbed() = default;
 SimHooks
 Testbed::simHooks()
 {
-    return SimHooks{&clock_, &config_.cost};
+    return SimHooks{&clock_, &cost_};
 }
 
 uint32_t
@@ -250,7 +243,7 @@ Testbed::addUser(uint32_t peer)
     transport.channel = [this, peer](ByteView m) {
         return smApp_->channelRequest(peer, m);
     };
-    tee::EnclaveImage image = config_.userImage;
+    tee::EnclaveImage image = UserEnclaveApp::defaultImage();
     if (peer != 0)
         image.name += "-tenant-" + std::to_string(peer);
     users_.push_back(std::make_unique<UserEnclaveApp>(

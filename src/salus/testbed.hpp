@@ -50,17 +50,9 @@ struct TestbedConfig
     net::RetryPolicy retry = net::RetryPolicy::standard();
     /** Health-breaker tuning for the fleet supervisor. */
     fpga::HealthPolicy health;
-    /** Watchdog poll period on the virtual clock. */
-    sim::Nanos heartbeatPeriod = 10 * sim::kMs;
-    /** Cost model for the virtual clock (defaults: paper calibration). */
-    sim::CostModel cost;
-    /** The developer's user-enclave build. */
-    tee::EnclaveImage userImage;
     /** Batch-scheduler tuning (multi-session secure channel). */
     size_t schedulerQueueCapacity = 256;
     size_t schedulerMaxBatchOps = 32;
-
-    TestbedConfig();
 };
 
 /** Endpoint names used on the testbed network. */
@@ -108,7 +100,6 @@ class Testbed
 
     // ---- Component access for tests, benches and examples ----------
     sim::VirtualClock &clock() { return clock_; }
-    const sim::CostModel &cost() const { return config_.cost; }
     net::Network &network() { return *network_; }
     /** The shared fault fabric (always present; no-op when the plan
      *  is empty). Tests arm additional rules at runtime through it. */
@@ -232,6 +223,8 @@ class Testbed
     void addUser(uint32_t peer);
 
     TestbedConfig config_;
+    /** Cost model for the virtual clock (the paper calibration). */
+    sim::CostModel cost_;
     sim::VirtualClock clock_;
     std::unique_ptr<crypto::CtrDrbg> rng_;
     std::unique_ptr<sim::FaultInjector> injector_;

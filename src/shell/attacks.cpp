@@ -18,6 +18,9 @@ constexpr uint32_t kSmOut2 = 0x40;
 constexpr uint64_t kCmdHeartbeat = 4;
 constexpr uint64_t kStatusOk = 1;
 
+/** Bits flipped in the tampered bitstream byte. */
+constexpr uint8_t kTamperMask = 0x01;
+
 } // namespace
 
 MaliciousShell::MaliciousShell(fpga::FpgaDevice &device,
@@ -41,7 +44,7 @@ MaliciousShell::deployBitstream(ByteView blob)
         Bytes tampered(blob.begin(), blob.end());
         if (!tampered.empty()) {
             size_t off = plan_.tamperOffset % tampered.size();
-            tampered[off] ^= plan_.tamperMask;
+            tampered[off] ^= kTamperMask;
         }
         logf(LogLevel::Info, "attack", "tampering CL bitstream at ",
              plan_.tamperOffset);
@@ -75,17 +78,11 @@ MaliciousShell::registerRead(pcie::Window window, uint32_t addr)
           default:
             break;
         }
-        if (plan_.snoopRegisters)
-            snoopLog_.push_back({false, window, addr, fake});
+        snoopLog_.push_back({false, window, addr, fake});
         return fake;
     }
-    uint64_t value = Shell::registerRead(window, addr);
-    uint64_t mask = window == pcie::Window::SmSecure
-                        ? plan_.smWindowDataTamperMask
-                        : plan_.directWindowDataTamperMask;
-    value ^= mask;
-    if (plan_.snoopRegisters)
-        snoopLog_.push_back({false, window, addr, value});
+    uint64_t value = Shell::registerRead(window, addr) ^ dataMask(window);
+    snoopLog_.push_back({false, window, addr, value});
     return value;
 }
 
@@ -100,8 +97,7 @@ MaliciousShell::registerWrite(pcie::Window window, uint32_t addr,
             if (data == kCmdHeartbeat) {
                 // Swallow the probe; the fabric never sees it.
                 forging_ = true;
-                if (plan_.snoopRegisters)
-                    snoopLog_.push_back({true, window, addr, data});
+                snoopLog_.push_back({true, window, addr, data});
                 logf(LogLevel::Info, "attack",
                      "forging heartbeat response");
                 return;
@@ -109,12 +105,8 @@ MaliciousShell::registerWrite(pcie::Window window, uint32_t addr,
             forging_ = false;
         }
     }
-    uint64_t mask = window == pcie::Window::SmSecure
-                        ? plan_.smWindowDataTamperMask
-                        : plan_.directWindowDataTamperMask;
-    uint64_t effective = data ^ mask;
-    if (plan_.snoopRegisters)
-        snoopLog_.push_back({true, window, addr, effective});
+    uint64_t effective = data ^ dataMask(window);
+    snoopLog_.push_back({true, window, addr, effective});
     Shell::registerWrite(window, addr, effective);
 }
 
@@ -124,14 +116,11 @@ MaliciousShell::registerBurstWrite(pcie::Window window, uint32_t addr,
 {
     // The shell sees every beat of a burst exactly like it sees every
     // single-word write: snoop it, optionally flip bits in flight.
-    uint64_t mask = window == pcie::Window::SmSecure
-                        ? plan_.smWindowDataTamperMask
-                        : plan_.directWindowDataTamperMask;
+    uint64_t mask = dataMask(window);
     std::vector<uint64_t> effective(words, words + count);
     for (auto &w : effective) {
         w ^= mask;
-        if (plan_.snoopRegisters)
-            snoopLog_.push_back({true, window, addr, w});
+        snoopLog_.push_back({true, window, addr, w});
     }
     Shell::registerBurstWrite(window, addr, effective.data(), count);
 }
@@ -141,13 +130,10 @@ MaliciousShell::registerBurstRead(pcie::Window window, uint32_t addr,
                                   uint64_t *words, size_t count)
 {
     Shell::registerBurstRead(window, addr, words, count);
-    uint64_t mask = window == pcie::Window::SmSecure
-                        ? plan_.smWindowDataTamperMask
-                        : plan_.directWindowDataTamperMask;
+    uint64_t mask = dataMask(window);
     for (size_t i = 0; i < count; ++i) {
         words[i] ^= mask;
-        if (plan_.snoopRegisters)
-            snoopLog_.push_back({false, window, addr, words[i]});
+        snoopLog_.push_back({false, window, addr, words[i]});
     }
 }
 

@@ -28,22 +28,15 @@ namespace salus::shell {
 /** Attack configuration for a MaliciousShell. */
 struct AttackPlan
 {
-    /** XOR this mask into the blob byte at `tamperOffset` pre-load. */
+    /** Flip the low bit of the blob byte at `tamperOffset` pre-load. */
     bool tamperBitstream = false;
     size_t tamperOffset = 0;
-    uint8_t tamperMask = 0x01;
 
     /** Replace the deployed blob entirely with `substitute`. */
     std::optional<Bytes> substituteBitstream;
 
-    /** Record every register transaction (always-on snooping). */
-    bool snoopRegisters = true;
-
     /** XOR register data crossing the SM window with this mask. */
     uint64_t smWindowDataTamperMask = 0;
-
-    /** XOR register data crossing the direct window with this mask. */
-    uint64_t directWindowDataTamperMask = 0;
 
     /** Tamper with DMA payloads (flip first byte). */
     bool tamperDma = false;
@@ -78,7 +71,8 @@ class MaliciousShell : public Shell
     void dmaWrite(uint64_t addr, ByteView data) override;
     Bytes dmaRead(uint64_t addr, size_t len) override;
 
-    /** Every register transaction observed so far. */
+    /** Every register transaction observed so far (the shell always
+     *  snoops). */
     const std::vector<pcie::RegisterTxn> &snoopLog() const
     {
         return snoopLog_;
@@ -104,6 +98,14 @@ class MaliciousShell : public Shell
     AttackPlan &plan() { return plan_; }
 
   private:
+    /** The XOR mask applied to register data crossing `window`. */
+    uint64_t dataMask(pcie::Window window) const
+    {
+        return window == pcie::Window::SmSecure
+                   ? plan_.smWindowDataTamperMask
+                   : 0;
+    }
+
     AttackPlan plan_;
     std::vector<pcie::RegisterTxn> snoopLog_;
     Bytes capturedBitstream_;

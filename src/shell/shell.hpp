@@ -105,7 +105,6 @@ class Shell
     /** Fleet position of the device behind this shell; scopes
      *  device-targeted fault rules (DeviceDead, RegFault.onDevice). */
     void setDeviceIndex(uint32_t index) { deviceIndex_ = index; }
-    uint32_t deviceIndex() const { return deviceIndex_; }
 
     uint32_t partitionId() const { return partitionId_; }
     fpga::FpgaDevice &device() { return device_; }

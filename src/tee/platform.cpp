@@ -50,14 +50,6 @@ TeePlatform::installPckCertificate(PckCertificate cert)
     provisioned_ = true;
 }
 
-const PckCertificate &
-TeePlatform::pckCertificate() const
-{
-    if (!provisioned_)
-        throw TeeError("platform not provisioned with a PCK cert");
-    return pck_;
-}
-
 uint64_t
 TeePlatform::monotonicRead(const std::string &counterId) const
 {

@@ -69,7 +69,6 @@ class TeePlatform
 
     /** Installs the manufacturer-issued PCK certificate. */
     void installPckCertificate(PckCertificate cert);
-    const PckCertificate &pckCertificate() const;
     bool provisioned() const { return provisioned_; }
 
     /**

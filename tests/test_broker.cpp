@@ -4,8 +4,8 @@
  * service, the enforced starvation bound under adversarial submit
  * patterns, the bit-for-bit equal-weight regression against the
  * original round-robin order, per-session backpressure accounting,
- * broker quotas / rate limits / overload shedding, the BrokerRequest
- * wire format, and the policy-rejections-are-never-retried contract.
+ * broker quotas / rate limits / overload shedding, and the
+ * policy-rejections-are-never-retried contract.
  */
 
 #include <gtest/gtest.h>
@@ -434,86 +434,6 @@ TEST(Broker, ClosedSessionRefusesSubmitsAndFreesQuota)
     // And the quota slot is free for a fresh session.
     uint32_t s2 = rig.broker.openSession(t);
     EXPECT_NE(s2, s);
-}
-
-// ------------------------------------------------ wire format + codes
-
-TEST(BrokerRequest, SerializeDeserializeRoundTrips)
-{
-    BrokerRequest req;
-    req.kind = BrokerRequest::Kind::SubmitOp;
-    req.tenant = 3;
-    req.session = 7;
-    req.op = {true, 0x40, 0xdeadbeefcafe};
-    Bytes wire = req.serialize();
-    BrokerRequest back = BrokerRequest::deserialize(wire);
-    EXPECT_EQ(back.kind, req.kind);
-    EXPECT_EQ(back.tenant, 3u);
-    EXPECT_EQ(back.session, 7u);
-    EXPECT_EQ(back.op.isWrite, true);
-    EXPECT_EQ(back.op.addr, 0x40u);
-    EXPECT_EQ(back.op.data, 0xdeadbeefcafeull);
-}
-
-TEST(BrokerRequest, MalformedInputsAreTypedErrors)
-{
-    BrokerRequest req;
-    req.kind = BrokerRequest::Kind::OpenSession;
-    req.tenant = 1;
-    Bytes wire = req.serialize();
-
-    Bytes truncated(wire.begin(), wire.end() - 1);
-    EXPECT_THROW(BrokerRequest::deserialize(truncated), SalusError);
-
-    Bytes badMagic = wire;
-    badMagic[0] ^= 0xff;
-    EXPECT_THROW(BrokerRequest::deserialize(badMagic), SalusError);
-
-    Bytes trailing = wire;
-    trailing.push_back(0);
-    EXPECT_THROW(BrokerRequest::deserialize(trailing), SalusError);
-
-    Bytes badKind = wire;
-    badKind[3] = 0x7f;
-    EXPECT_THROW(BrokerRequest::deserialize(badKind), SalusError);
-}
-
-TEST(Broker, HandleMapsPolicyVerdictsToWireStatusCodes)
-{
-    BrokerRig rig;
-    TenantPolicy p;
-    p.maxSessions = 1;
-    p.maxQueuedOps = 2;
-    uint32_t t = rig.broker.registerTenant("wire", p);
-
-    BrokerRequest open;
-    open.kind = BrokerRequest::Kind::OpenSession;
-    open.tenant = t;
-    Broker::Response r = rig.broker.handle(open);
-    EXPECT_EQ(r.status, kBrokerOk);
-    uint32_t session = r.session;
-
-    // Quota rejection comes back as a status code, not an exception.
-    EXPECT_EQ(rig.broker.handle(open).status, kBrokerQuotaExceeded);
-
-    BrokerRequest sub;
-    sub.kind = BrokerRequest::Kind::SubmitOp;
-    sub.tenant = t;
-    sub.session = session;
-    sub.op = {true, 0x00, 1};
-    EXPECT_EQ(rig.broker.handle(sub).status, kBrokerOk);
-    EXPECT_EQ(rig.broker.handle(sub).status, kBrokerOk);
-    EXPECT_EQ(rig.broker.handle(sub).status, kBrokerQuotaExceeded);
-
-    BrokerRequest unknown = sub;
-    unknown.tenant = 99;
-    EXPECT_EQ(rig.broker.handle(unknown).status, kBrokerUnknownTenant);
-
-    BrokerRequest badSession = sub;
-    badSession.session = 42;
-    EXPECT_EQ(rig.broker.handle(badSession).status, kBrokerBadRequest);
-
-    EXPECT_EQ(rig.broker.drainAll(), 2u);
 }
 
 // -------------------------------- policy rejections are never retried

@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <tuple>
 
+#include "bitstream/format.hpp"
+#include "bitstream/logic_location.hpp"
 #include "common/errors.hpp"
 #include "fpga/ip.hpp"
 #include "salus/sm_logic.hpp"
@@ -174,6 +177,52 @@ TEST(FaultRecovery, InjectedSeuIsScrubbable)
     EXPECT_EQ(report.corrected, 1u);
     EXPECT_EQ(report.uncorrectable, 0u);
     EXPECT_GT(tb->clock().now(), before);
+}
+
+TEST(FaultRecovery, KeyCellSeuDuringAuthenticationNeverDisturbsBoot)
+{
+    // A reference run of the same seed gives the boot timeline and
+    // where Key_attest sits in the partition's configuration bits.
+    auto ref = makeTestbed();
+    ASSERT_TRUE(ref->runDeployment().ok);
+    sim::Nanos deployEnd = 0;
+    sim::Nanos authEnd = 0;
+    for (const sim::PhaseRecord &r : ref->clock().trace()) {
+        if (r.phase == core::phases::kClDeployment)
+            deployEnd = std::max(deployEnd, r.start + r.duration);
+        if (r.phase == core::phases::kClAuth)
+            authEnd = std::max(authEnd, r.start + r.duration);
+    }
+    auto keyCell =
+        bitstream::LogicLocationFile::deserialize(
+            ref->metadata().logicLocations)
+            .find(ref->layout().keyAttestPath);
+    ASSERT_TRUE(keyCell);
+    size_t body = bitstream::Bitstream::fromFile(ref->storedBitstream())
+                      .bodyOffsetInFile();
+    uint64_t bit = (keyCell->fileOffset - body) * 8 + 3;
+
+    // A correctable upset in Key_attest's cell, timed to land after
+    // the CL is configured and before its authentication completes.
+    core::TestbedConfig cfg;
+    cfg.faultPlan.add(sim::FaultRule::seu(0, bit, deployEnd));
+    auto tb = makeTestbed(std::move(cfg));
+    core::UserClient::Outcome out = tb->runDeployment();
+    ASSERT_TRUE(out.ok) << out.failure;
+    EXPECT_EQ(out.attempts, 1);
+    const auto &journal = tb->faultInjector().journal();
+    ASSERT_EQ(journal.size(), 1u);
+    sim::Nanos landed = std::stoull(journal[0].substr(2));
+    EXPECT_GE(landed, deployEnd);
+    EXPECT_LE(landed, authEnd);
+
+    // The SM logic latched its keys at configuration, so attestation
+    // passed with the upset still in memory: the boot never scrubbed,
+    // and the first scrub finds and corrects exactly that one bit.
+    auto report = tb->device().scrub(0);
+    EXPECT_EQ(report.corrected, 1u);
+    EXPECT_EQ(report.uncorrectable, 0u);
+    EXPECT_TRUE(tb->smApp().reattestCl());
 }
 
 TEST(FaultRecovery, UncorrectableSeuHealedByRedeployment)
@@ -358,6 +407,42 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<bool> &info) {
         return std::string(info.param ? "CompletionLost" : "RequestLost");
     });
+
+TEST(FaultRecovery, PendingRekeySurvivesSmCrash)
+{
+    auto tb = makeTestbed();
+    ASSERT_TRUE(tb->runDeployment().ok);
+
+    // The fabric rolls its keys but the completion read is lost, and
+    // the SM enclave crashes before any channel op settles which keys
+    // the fabric holds.
+    tb->faultInjector().arm(
+        sim::FaultRule::regFault(1.0).match("read").times(1));
+    EXPECT_FALSE(tb->userApp().rekeySession());
+
+    core::SmEnclaveApp::RecoveryReport rep = tb->crashAndRecoverSmApp();
+    ASSERT_EQ(rep.status, core::SmEnclaveApp::RecoveryStatus::Recovered)
+        << rep.detail;
+    EXPECT_EQ(rep.reattestFailures, 0u);
+
+    // The journal's session keys are the pre-roll ones, so the first
+    // attempt is rejected; only the pending record restored from the
+    // journal lets the probe under the rolled keys through.
+    core::SmEnclaveApp &sm = tb->smApp();
+    auto &sh = tb->shell();
+    uint64_t rejBefore = sh.registerRead(pcie::Window::SmSecure,
+                                         core::kSmRegStatBatchRejected);
+    auto write = sm.secureRegBatch(0, {{true, 0x10, 77}});
+    ASSERT_EQ(write.size(), 1u);
+    EXPECT_EQ(write[0].status, 0);
+    EXPECT_EQ(sh.registerRead(pcie::Window::SmSecure,
+                              core::kSmRegStatBatchRejected),
+              rejBefore + 1);
+    auto read = sm.secureRegBatch(0, {{false, 0x10, 0}});
+    ASSERT_EQ(read.size(), 1u);
+    EXPECT_EQ(read[0].status, 0);
+    EXPECT_EQ(read[0].data, 77u);
+}
 
 TEST(FaultRecovery, LostRegisterWriteRetriedWithFreshCounter)
 {

@@ -20,7 +20,6 @@
 #include "crypto/random.hpp"
 #include "crypto/sha256.hpp"
 #include "manufacturer/manufacturer.hpp"
-#include "salus/broker.hpp"
 #include "salus/dma_channel.hpp"
 #include "salus/messages.hpp"
 #include "salus/scenario.hpp"
@@ -565,41 +564,6 @@ TEST(Fuzz, BurstRegisterSweepNeverWedgesTheFabric)
     EXPECT_EQ(tb.userApp().secureRead(0x08), 7u);
 }
 
-TEST(Fuzz, BrokerRequestDecodeNeverCrashesOrFalselyAccepts)
-{
-    crypto::CtrDrbg rng(uint64_t(6001));
-    core::BrokerRequest valid;
-    valid.kind = core::BrokerRequest::Kind::SubmitOp;
-    valid.tenant = 2;
-    valid.session = 3;
-    valid.op = {true, 0x10, 0x1234};
-    Bytes wire = valid.serialize();
-
-    for (int i = 0; i < 400; ++i) {
-        Bytes bad = corrupt(wire, rng);
-        if (rng.below(4) == 0)
-            bad.resize(rng.below(bad.size() + 1));
-        try {
-            core::BrokerRequest back =
-                core::BrokerRequest::deserialize(bad);
-            // Accepted garbage must still decode to a sane request: a
-            // defined kind, never a truncated/oversized frame.
-            EXPECT_GE(uint8_t(back.kind), 1);
-            EXPECT_LE(uint8_t(back.kind), 3);
-        } catch (const SalusError &) {
-            // typed rejection — the expected outcome
-        }
-    }
-    // Pure-noise frames of every small length.
-    for (size_t len = 0; len < 40; ++len) {
-        Bytes noise = rng.bytes(len);
-        try {
-            (void)core::BrokerRequest::deserialize(noise);
-        } catch (const SalusError &) {
-        }
-    }
-}
-
 TEST(Fuzz, ScenarioParserNeverCrashesOnMangledCampaigns)
 {
     crypto::CtrDrbg rng(uint64_t(6002));
@@ -757,16 +721,6 @@ salus_fuzz_migration_ticket(const uint8_t *data, size_t size)
 {
     try {
         (void)core::MigrationTicket::deserialize(ByteView(data, size));
-    } catch (const SalusError &) {
-    }
-    return 0;
-}
-
-extern "C" int
-salus_fuzz_broker_request(const uint8_t *data, size_t size)
-{
-    try {
-        (void)core::BrokerRequest::deserialize(ByteView(data, size));
     } catch (const SalusError &) {
     }
     return 0;

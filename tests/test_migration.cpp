@@ -90,34 +90,6 @@ TEST(MigrationSerde, TicketRoundTripsAndRejectsGarbage)
                  SerdeError);
 }
 
-TEST(MigrationSerde, RecordRoundTripsAndRejectsBadFlag)
-{
-    MigrationRecord m;
-    m.fromDevice = 1;
-    m.toDevice = 0;
-    m.atNanos = 555;
-    m.reason = "rolling upgrade";
-    m.oldFingerprint = Bytes(32, 0x01);
-    m.newFingerprint = Bytes(32, 0x02);
-    m.attested = 1;
-    m.parkedOps = 12;
-
-    MigrationRecord m2 = MigrationRecord::deserialize(m.serialize());
-    EXPECT_EQ(m2.fromDevice, 1u);
-    EXPECT_EQ(m2.toDevice, 0u);
-    EXPECT_EQ(m2.atNanos, 555u);
-    EXPECT_EQ(m2.reason, m.reason);
-    EXPECT_EQ(m2.oldFingerprint, m.oldFingerprint);
-    EXPECT_EQ(m2.newFingerprint, m.newFingerprint);
-    EXPECT_EQ(m2.attested, 1);
-    EXPECT_EQ(m2.parkedOps, 12u);
-
-    MigrationRecord bad = m;
-    bad.attested = 9;
-    EXPECT_THROW(MigrationRecord::deserialize(bad.serialize()),
-                 SerdeError);
-}
-
 // ---- Ticket security at the SM enclave ------------------------------
 
 TEST(MigrationTicketSecurity, TamperedTicketsAreRefused)

@@ -286,6 +286,57 @@ failovers_max = )" + std::to_string(failoversMax) + "\n");
     EXPECT_GT(out.completed, 0u);
 }
 
+TEST(ScenarioEngine, LostSpareHeartbeatsQuarantineTheSpareOnly)
+{
+    // Every watchdog probe to spare device 1 is lost in flight. The
+    // supervisor must quarantine the spare on that evidence alone and
+    // leave the session serving on device 0: no failover. The
+    // device-scoped reg_fault never fires (device 1 carries no
+    // traffic); it pins that `device =` narrows a rule to one device.
+    const std::string text = R"(
+[scenario]
+name = spare-heartbeat-loss
+seed = 31
+devices = 2
+sweeps = 24
+poll_every = 2
+
+[tenant steady]
+pattern = flood
+ops_per_sweep = 8
+
+[fault]
+kind = heartbeat_loss
+device = 1
+probability = 1
+
+[fault]
+kind = reg_fault
+device = 1
+probability = 1
+
+[expect]
+completed_min = 150
+failovers_max = 0
+)";
+    Scenario sc = parseScenario(text);
+    ASSERT_EQ(sc.faults.size(), 2u);
+    EXPECT_EQ(sc.faults[1].toRule().device, 1u);
+    ScenarioOutcome out = runTwiceAndCheck(sc);
+    EXPECT_EQ(out.failovers, 0u);
+    EXPECT_EQ(out.completed, 24u * 8u);
+    ASSERT_EQ(out.deviceHealth.size(), 2u);
+    EXPECT_EQ(out.deviceHealth[0], fpga::HealthState::Healthy);
+    EXPECT_EQ(out.deviceHealth[1], fpga::HealthState::Quarantined);
+    size_t lost = 0;
+    for (const std::string &entry : out.faultJournal) {
+        EXPECT_NE(entry.find(" heartbeat-loss device-1"), std::string::npos)
+            << entry;
+        ++lost;
+    }
+    EXPECT_GE(lost, 3u);
+}
+
 TEST(ScenarioEngine, ExpectViolationsAreReportedNotThrown)
 {
     const std::string text = R"(

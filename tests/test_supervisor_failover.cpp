@@ -169,28 +169,6 @@ TEST(FleetSerde, HeartbeatFramesRoundTrip)
     EXPECT_THROW(HeartbeatResponse::deserialize(whole), SerdeError);
 }
 
-TEST(FleetSerde, FailoverRecordRoundTrips)
-{
-    FailoverRecord rec;
-    rec.fromDevice = 0;
-    rec.toDevice = 2;
-    rec.atNanos = 123456789;
-    rec.reason = "no heartbeat (status 0)";
-    rec.oldFingerprint = Bytes(32, 0xaa);
-    rec.newFingerprint = Bytes(32, 0xbb);
-    rec.attested = 1;
-    rec.attempts = 1;
-    FailoverRecord rec2 = FailoverRecord::deserialize(rec.serialize());
-    EXPECT_EQ(rec2.fromDevice, rec.fromDevice);
-    EXPECT_EQ(rec2.toDevice, rec.toDevice);
-    EXPECT_EQ(rec2.atNanos, rec.atNanos);
-    EXPECT_EQ(rec2.reason, rec.reason);
-    EXPECT_EQ(rec2.oldFingerprint, rec.oldFingerprint);
-    EXPECT_EQ(rec2.newFingerprint, rec.newFingerprint);
-    EXPECT_EQ(rec2.attested, 1);
-    EXPECT_EQ(rec2.attempts, 1u);
-}
-
 TEST(FleetSerde, SmJournalRoundTripsAllFields)
 {
     SmJournal j;
@@ -388,8 +366,7 @@ struct ScriptedFleet
 
     SupervisorDeps deps(uint32_t deviceCount)
     {
-        SupervisorDeps d;
-        d.clock = &clock;
+        SupervisorDeps d(clock);
         d.deviceCount = deviceCount;
         d.health = fastHealth();
         d.activeDevice = [this] { return active; };

@@ -33,7 +33,6 @@ FUZZ_TARGETS=(
     fuzz_netlist
     fuzz_channel_open
     fuzz_migration_ticket
-    fuzz_broker_request
     fuzz_scenario_file
     fuzz_dma_descriptor
     fuzz_dma_window

@@ -39,6 +39,15 @@ namespace {
 
 std::string g_traceOut;   // --trace-out FILE (empty = disabled)
 std::string g_metricsOut; // --metrics-out FILE (empty = disabled)
+bool g_writeFailed = false; // an artifact asked for was not written
+
+/** Reports an artifact that was not written; the command exits 1. */
+void
+cannotWrite(const char *what, const std::string &path)
+{
+    std::printf("%s: cannot write %s\n", what, path.c_str());
+    g_writeFailed = true;
+}
 
 /**
  * Enables tracing/metrics over a testbed's clock for the duration of
@@ -69,15 +78,13 @@ class CliObs
                             g_traceOut.c_str(),
                             recorder_->events().size());
             else
-                std::printf("trace: cannot write %s\n",
-                            g_traceOut.c_str());
+                cannotWrite("trace", g_traceOut);
         }
         if (!g_metricsOut.empty()) {
             if (metrics_->writeText(g_metricsOut))
                 std::printf("metrics: %s\n", g_metricsOut.c_str());
             else
-                std::printf("metrics: cannot write %s\n",
-                            g_metricsOut.c_str());
+                cannotWrite("metrics", g_metricsOut);
         }
     }
 
@@ -348,22 +355,16 @@ cmdRunScenario(const std::vector<std::string> &args)
                     static_cast<unsigned long long>(out.dmaBytes));
 
     if (!g_traceOut.empty()) {
-        std::FILE *f = std::fopen(g_traceOut.c_str(), "wb");
-        if (f) {
-            std::fwrite(out.traceJson.data(), 1, out.traceJson.size(),
-                        f);
-            std::fclose(f);
+        if (obs::writeFile(g_traceOut, out.traceJson))
             std::printf("trace: %s\n", g_traceOut.c_str());
-        }
+        else
+            cannotWrite("trace", g_traceOut);
     }
     if (!g_metricsOut.empty()) {
-        std::FILE *f = std::fopen(g_metricsOut.c_str(), "wb");
-        if (f) {
-            std::fwrite(out.metricsText.data(), 1,
-                        out.metricsText.size(), f);
-            std::fclose(f);
+        if (obs::writeFile(g_metricsOut, out.metricsText))
             std::printf("metrics: %s\n", g_metricsOut.c_str());
-        }
+        else
+            cannotWrite("metrics", g_metricsOut);
     }
 
     for (const std::string &v : out.violations)
@@ -451,16 +452,20 @@ main(int argc, char **argv)
         }
     }
 
+    int rc;
     if (cmd == "boot")
-        return cmdBoot(args);
-    if (cmd == "attack")
-        return cmdAttack(args);
-    if (cmd == "workload")
-        return cmdWorkload(args);
-    if (cmd == "run-scenario")
-        return cmdRunScenario(args);
-    if (cmd == "inspect")
-        return cmdInspect();
-    usage();
-    return cmd == "help" ? 0 : 2;
+        rc = cmdBoot(args);
+    else if (cmd == "attack")
+        rc = cmdAttack(args);
+    else if (cmd == "workload")
+        rc = cmdWorkload(args);
+    else if (cmd == "run-scenario")
+        rc = cmdRunScenario(args);
+    else if (cmd == "inspect")
+        rc = cmdInspect();
+    else {
+        usage();
+        rc = cmd == "help" ? 0 : 2;
+    }
+    return g_writeFailed ? 1 : rc;
 }
